@@ -2,13 +2,14 @@
 """Scramble a nilradical behind a random unimodular basis change and
 recover its simple type from the structure constants alone.
 
-Shows the whole pipeline: build, obfuscate, identify, with timings.
+Shows the whole pipeline: build, obfuscate, Jacobi check, identify,
+with timings and the number of residue primes the Jacobi check used.
 """
 
 import argparse
 import time
 
-from lienil.chevalley import nilradical
+from lienil.chevalley import jacobi_primes, nilradical, verify_jacobi
 from lienil.exactlin import random_unimodular
 from lienil.fingerprint import identify
 from lienil.nilalg import change_basis
@@ -27,15 +28,19 @@ def main() -> None:
     t1 = time.perf_counter()
     scrambled = change_basis(a, random_unimodular(a.dim, args.seed))
     t2 = time.perf_counter()
-    ident = identify(scrambled)
+    report = verify_jacobi(scrambled)
     t3 = time.perf_counter()
+    ident = identify(scrambled)
+    t4 = time.perf_counter()
 
     entries = sum(len(v) for v in scrambled.constants.values())
     print(f"built {t} nilradical: dim {a.dim} ({t1 - t0:.3f}s)")
     print(f"scrambled with seed {args.seed}: {entries} nonzero terms ({t2 - t1:.3f}s)")
+    print(f"Jacobi {'holds' if report.ok else 'FAILS'} on {report.triples_checked} triples, "
+          f"{len(jacobi_primes(scrambled))} residue primes ({t3 - t2:.3f}s)")
     print(f"identified: {ident.canonical}"
           + (f" (aliases: {', '.join(map(str, ident.aliases))})" if ident.aliases else "")
-          + f" ({t3 - t2:.3f}s)")
+          + f" ({t4 - t3:.3f}s)")
     assert ident == identify(a), "round trip disagrees with the canonical answer"
     print("matches the canonical identification")
 

@@ -14,9 +14,13 @@ All resulting constants are integers with |N| = p + 1 in {1, 2, 3}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from . import _intkernel as ik
 from .nilalg import NilpotentAlgebra
 from .rootsys import RootSystem, string_down_length
 
@@ -105,36 +109,82 @@ class JacobiReport:
     triples_checked: int
 
 
+# Cap on the float64 entries of one residue product in verify_jacobi.
+_TILE_ENTRIES = 2**19
+
+
+def jacobi_primes(a: NilpotentAlgebra) -> tuple[int, ...]:
+    """The residue primes verify_jacobi uses on a: the fewest whose
+    product exceeds 3 * n * tmax^2, tmax the largest scaled constant."""
+    _, _, tmax = a.int_tensor()
+    return ik.primes_exceeding(3 * a.dim * tmax * tmax)
+
+
 def verify_jacobi(a: NilpotentAlgebra) -> JacobiReport:
     """Check [[x,y],z] + [[y,z],x] + [[z,x],y] = 0 on all basis triples.
 
-    Only triples touching at least one nonzero bracket can fail, so the
-    scan is driven by the constant table rather than all of n^3.
+    With T the integer structure tensor (int_tensor), the Jacobiator of
+    the basis triple (x, y, z) has coordinates
+
+        J[x,y,z,r] = sum_m T[x,y,m] T[m,z,r] + T[y,z,m] T[m,x,r] + T[z,x,m] T[m,y,r],
+
+    so |J| <= 3 * n * tmax^2.  J is alternating in x, y, z, and only
+    sorted triples x < y < z are computed and reported.
+
+    The check is exact, not probabilistic.  J is computed modulo each
+    prime p of jacobi_primes(a) as three residue matrix products on
+    float64 BLAS (ik.residue_matmul): every dot product is an integer
+    of at most n * (p - 1)^2 < 2^53, so no rounding occurs, and each
+    product is reduced mod p before any sum.  The primes multiply to
+    more than 3 * n * tmax^2, so an entry of J that vanishes modulo all
+    of them is 0.  Each product fills at most max(_TILE_ENTRIES, n^2)
+    float64 entries (4 MiB for n <= 724), so no n^4 array is allocated.
+
+    triples_checked counts the sorted triples containing a pair with a
+    nonzero bracket: only those can fail.
     """
     n = a.dim
-    nbr: dict[int, dict[int, tuple[tuple[int, Fraction], ...]]] = {}
-    for (i, j), terms in a.constants.items():
-        nbr.setdefault(i, {})[j] = terms
-        nbr.setdefault(j, {})[i] = tuple((k, -v) for k, v in terms)
+    primes = jacobi_primes(a)
+    t, _, tmax = a.int_tensor()
+    whole = t.astype(np.int64) if tmax < ik._INT64_SAFE else t
+    flagged = np.zeros((n, n, n), dtype=bool)
+    side = max(1, math.isqrt(_TILE_ENTRIES // (n * n)))
+    for p in primes:
+        r = np.remainder(whole, p).astype(np.float64)
+        for x0 in range(0, n, side):
+            xs = slice(x0, x0 + side)
+            for y0 in range(x0, n, side):
+                ys, zs = slice(y0, y0 + side), slice(y0, n)
+                flagged[xs, ys, zs] |= _jacobiator_nonzero(r, p, xs, ys, zs)
+    x, y, z = np.nonzero(flagged)
+    keep = (x < y) & (y < z)
+    violations = tuple(zip(x[keep].tolist(), y[keep].tolist(), z[keep].tolist()))
 
-    candidates = set()
-    for (i, j) in a.constants:
-        for k in range(n):
-            if k != i and k != j:
-                x, y, z = sorted((i, j, k))
-                candidates.add((x, y, z))
+    edge = np.zeros((n, n), dtype=np.int64)
+    if a.constants:
+        i, j = np.array(list(a.constants)).T
+        edge[i, j] = edge[j, i] = 1
+    free = 1 - edge - np.eye(n, dtype=np.int64)  # distinct pairs with zero bracket
+    untouched = int(((free @ free) * free).sum()) // 6
+    return JacobiReport(not violations, violations, math.comb(n, 3) - untouched)
 
-    def add_term(out, first, second, third):
-        for m, c in nbr.get(first, {}).get(second, ()):
-            for r, c2 in nbr.get(m, {}).get(third, ()):
-                out[r] = out.get(r, Fraction(0)) + c * c2
 
-    violations = []
-    for i, j, k in sorted(candidates):
-        out: dict[int, Fraction] = {}
-        add_term(out, i, j, k)
-        add_term(out, j, k, i)
-        add_term(out, k, i, j)
-        if any(out.values()):
-            violations.append((i, j, k))
-    return JacobiReport(not violations, tuple(violations), len(candidates))
+def _jacobiator_nonzero(r: np.ndarray, p: int, xs: slice, ys: slice,
+                        zs: slice) -> np.ndarray:
+    """Mask over (x, y, z) in xs * ys * zs: is J[x,y,z,:] nonzero mod p?
+
+    r is the structure tensor reduced mod p.  The three products give
+    the terms T[x,y,m] T[m,z,r], T[y,z,m] T[m,x,r] and T[x,z,m] T[m,y,r]
+    (the last one enters J with a minus sign, by antisymmetry).
+    """
+    n = r.shape[0]
+    rx, ry, rz = r[:, xs], r[:, ys], r[:, zs]
+    b, c, w = rx.shape[1], ry.shape[1], rz.shape[1]
+    # Accumulate in place, so at most three tile-sized arrays are live.
+    j = ik.residue_matmul(r[xs, ys].reshape(b * c, n), rz.reshape(n, w * n), p)
+    j = j.reshape(b, c, w, n)
+    j += ik.residue_matmul(r[ys, zs].reshape(c * w, n), rx.reshape(n, b * n), p) \
+        .reshape(c, w, b, n).transpose(2, 0, 1, 3)
+    np.subtract(j, p, out=j, where=j >= p)
+    xzy = ik.residue_matmul(r[xs, zs].reshape(b * w, n), ry.reshape(n, c * n), p)
+    return (j != xzy.reshape(b, w, c, n).transpose(0, 2, 1, 3)).any(axis=3)

@@ -7,12 +7,14 @@ upper-triangular bracket table with lowest-term integer fractions, so
 exactness survives serialization.  Exit codes are uniform across
 subcommands: 0 success, 1 semantic rejection (not nilpotent, no type
 matches, failed claims), 2 malformed input (bad arguments, unreadable
-or invalid files, Jacobi violations, rank bound exceeded).
+or invalid files, Jacobi violations, rank bound exceeded, a dim above
+every nilradical within the rank bound).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -133,8 +135,18 @@ def algebra_from_payload(payload) -> NilpotentAlgebra:
 
 
 def save_algebra(path: str, a: NilpotentAlgebra, metadata: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_json(algebra_to_payload(a, metadata)))
+    """Write a to path atomically: a temporary file in the same directory
+    replaces path only once it is complete, so rewriting a file in place
+    never leaves it truncated."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(_json(algebra_to_payload(a, metadata)))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_algebra(path: str) -> NilpotentAlgebra:
@@ -188,6 +200,30 @@ def _load_or_die(path: str) -> NilpotentAlgebra:
         raise CliError(2, str(exc)) from None
     except (ValueError, TypeError) as exc:
         raise CliError(2, f"invalid algebra data: {exc}") from None
+
+
+def _largest_nilradical_dim(bound: int) -> int:
+    """Largest nilradical dimension among the types of rank <= bound.
+
+    Past rank 8 only the classical families remain, and B_r (= C_r, r^2
+    positive roots) tops them at r = bound, so no more types are listed.
+    """
+    types = all_types(min(bound, 8))
+    if bound > 8:
+        types.append(SimpleType("B", bound))
+    return max((simple_dimension(t) - t.rank) // 2 for t in types)
+
+
+def _load_within_bound(path: str, bound: int) -> NilpotentAlgebra:
+    """Load a file whose dim is at most the largest nilradical dimension
+    within the rank bound; the check runs before any dense structure
+    tensor is allocated."""
+    a = _load_or_die(path)
+    largest = _largest_nilradical_dim(bound)
+    if a.dim > largest:
+        raise CliError(2, f"dim {a.dim} exceeds {largest}, the largest nilradical of "
+                          f"rank at most {bound} (set {ENV_MAX_RANK} to raise the bound)")
+    return a
 
 
 # -------------------------------------------------------------- subcommands
@@ -270,7 +306,7 @@ def cmd_emit(args) -> int:
 
 
 def cmd_obfuscate(args) -> int:
-    a = _load_or_die(args.file)
+    a = _load_within_bound(args.file, _rank_bound())
     try:
         lower_central_series(a)
     except NotNilpotentError as exc:
@@ -282,13 +318,16 @@ def cmd_obfuscate(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    a = _load_or_die(args.file)
-    report = verify_jacobi(a)
+    bound = _rank_bound()
+    a = _load_within_bound(args.file, bound)
+    try:
+        report = verify_jacobi(a)
+    except ValueError as exc:
+        raise CliError(2, f"structure constants too large to check: {exc}") from None
     if not report.ok:
         first = ", ".join(str(v) for v in report.violations[:3])
         raise CliError(2, f"Jacobi identity fails on {len(report.violations)} "
                           f"basis triples (first: {first})")
-    bound = _rank_bound()
     try:
         f = lower_central_series(a)
         fp = fingerprint(a, f)

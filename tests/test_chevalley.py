@@ -18,9 +18,13 @@ positivity on each degree-minimal pair, and the Jacobi identity.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
-from lienil.chevalley import nilradical, verify_jacobi
-from lienil.nilalg import NilpotentAlgebra, lower_central_series
+from lienil import _intkernel as ik
+from lienil.chevalley import JacobiReport, jacobi_primes, nilradical, verify_jacobi
+from lienil.exactlin import random_unimodular
+from lienil.nilalg import NilpotentAlgebra, change_basis, lower_central_series
 from lienil.rootsys import (
     SimpleType,
     all_types,
@@ -199,3 +203,91 @@ def test_verify_jacobi_on_non_lie_table():
     report = verify_jacobi(bad)
     assert not report.ok
     assert (0, 1, 3) in report.violations
+
+
+# ------------------------------------------- modular check vs the old loop
+
+
+def _jacobi_by_loop(a: NilpotentAlgebra) -> JacobiReport:
+    """The original check: a Python loop over the dict terms of every
+    sorted triple that touches a nonzero bracket, in exact Fractions."""
+    nbr: dict = {}
+    for (i, j), terms in a.constants.items():
+        nbr.setdefault(i, {})[j] = terms
+        nbr.setdefault(j, {})[i] = tuple((k, -v) for k, v in terms)
+    candidates = {
+        tuple(sorted((i, j, k)))
+        for (i, j) in a.constants
+        for k in range(a.dim)
+        if k != i and k != j
+    }
+
+    def add_term(out, first, second, third):
+        for m, c in nbr.get(first, {}).get(second, ()):
+            for r, c2 in nbr.get(m, {}).get(third, ()):
+                out[r] = out.get(r, Fraction(0)) + c * c2
+
+    violations = []
+    for i, j, k in sorted(candidates):
+        out: dict = {}
+        add_term(out, i, j, k)
+        add_term(out, j, k, i)
+        add_term(out, k, i, j)
+        if any(out.values()):
+            violations.append((i, j, k))
+    return JacobiReport(not violations, tuple(violations), len(candidates))
+
+
+@st.composite
+def random_tables(draw):
+    """Sparse antisymmetric tables of dim 3-8 with integer or rational
+    constants up to 2^70, so the bound asks for one prime or many."""
+    n = draw(st.integers(3, 8))
+    top = draw(st.sampled_from([7, 2**15, 2**30, 2**70]))
+    den = st.integers(1, 12) if draw(st.booleans()) else st.just(1)
+    value = st.builds(Fraction, st.integers(-top, top), den)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keys = draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))
+    return NilpotentAlgebra(n, {
+        key: tuple(draw(st.dictionaries(st.integers(0, n - 1), value, min_size=1,
+                                        max_size=2)).items())
+        for key in keys
+    })
+
+
+@st.composite
+def lie_tables(draw):
+    """Chevalley tables of dim <= 8, scaled by a large rational and
+    scrambled: Jacobi holds, the constants are dense and large."""
+    a = nil(draw(st.sampled_from(["A2", "B2", "A3", "G2"])))
+    c = Fraction(draw(st.integers(1, 2**70)), draw(st.integers(1, 12)))
+    scaled = NilpotentAlgebra(a.dim, {
+        key: tuple((k, c * v) for k, v in terms) for key, terms in a.constants.items()
+    })
+    return change_basis(scaled, random_unimodular(a.dim, draw(st.integers(0, 2**16))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_tables(), lie_tables()))
+def test_verify_jacobi_matches_loop(a):
+    note(f"{len(jacobi_primes(a))} residue primes")
+    assert verify_jacobi(a) == _jacobi_by_loop(a)
+
+
+def test_prime_count_follows_bound():
+    # 3 * n * tmax^2 against products of primes just below 2^21.
+    for tmax, count in [(1, 1), (2**15, 2), (2**30, 4)]:
+        a = NilpotentAlgebra(3, {(0, 1): ((2, tmax),)})
+        assert len(jacobi_primes(a)) == count
+
+
+def test_planted_violation_needs_every_prime():
+    # [[e0, e1], e3] = c1 [e2, e3] = c1 c2 e4 is the only nonzero
+    # Jacobiator; with c1, c2 the first two residue primes it vanishes
+    # modulo both, so only the third prime the bound selects sees it.
+    c1, c2 = ik.PRIMES[0], ik.PRIMES[1]
+    a = NilpotentAlgebra(5, {(0, 1): ((2, c1),), (2, 3): ((4, c2),)})
+    assert len(jacobi_primes(a)) == 3
+    report = verify_jacobi(a)
+    assert report.violations == ((0, 1, 3),)
+    assert report == _jacobi_by_loop(a)

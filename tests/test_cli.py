@@ -11,8 +11,9 @@ import pytest
 
 from lienil import cli
 from lienil.chevalley import nilradical
+from lienil.fingerprint import simple_dimension
 from lienil.nilalg import NilpotentAlgebra
-from lienil.rootsys import SimpleType, build_root_system
+from lienil.rootsys import SimpleType, all_types, build_root_system
 
 
 def run(argv, capsys):
@@ -105,6 +106,21 @@ def test_save_is_deterministic(tmp_path):
     cli.save_algebra(str(p1), a)
     cli.save_algebra(str(p2), a)
     assert p1.read_text() == p2.read_text()
+
+
+def test_failed_save_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "a3.json"
+    cli.save_algebra(str(path), nilradical(build_root_system(SimpleType("A", 3))))
+    before = path.read_bytes()
+
+    def broken(obj):
+        raise RuntimeError("serialization failed")
+
+    monkeypatch.setattr(cli, "_json", broken)
+    with pytest.raises(RuntimeError):
+        cli.save_algebra(str(path), heisenberg())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a3.json"]
 
 
 # ------------------------------------------------------------- subcommands
@@ -307,6 +323,39 @@ def test_exit_1_not_nilpotent(tmp_path, capsys):
     }))
     code, _, err = run(["identify", str(path)], capsys)
     assert code == 1 and "not nilpotent" in err
+
+
+@pytest.mark.parametrize("argv", [["identify"], ["obfuscate", "--seed", "1", "-o", "out.json"]])
+def test_exit_2_dim_above_largest_nilradical(tmp_path, capsys, monkeypatch, argv):
+    # 144 = dim of the B12 and C12 nilradicals, the largest at rank <= 12.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"format_version": 1, "dim": 10000000, "brackets": []}))
+    code, _, err = run([argv[0], str(path), *argv[1:]], capsys)
+    assert code == 2 and "exceeds 144" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_largest_nilradical_dim_matches_type_table():
+    for bound in range(1, 21):
+        table = max((simple_dimension(t) - t.rank) // 2 for t in all_types(bound))
+        assert cli._largest_nilradical_dim(bound) == table
+
+
+def test_exit_2_constants_too_large_to_check(tmp_path, capsys):
+    # Pairwise coprime 4001-digit denominators scale the integer tensor
+    # past every product of residue primes the Jacobi check has.
+    dens = [10**4000 + 1, 10**4000 + 3, 10**4000 + 7]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "dim": 4,
+        "brackets": [
+            {"i": i, "j": j, "terms": [{"k": 3, "num": 1, "den": d}]}
+            for (i, j), d in zip([(0, 1), (0, 2), (1, 2)], dens)
+        ],
+    }))
+    code, _, err = run(["identify", str(path)], capsys)
+    assert code == 2 and "too large" in err
 
 
 def test_exit_1_unrecognized(tmp_path, capsys):

@@ -9,6 +9,7 @@ Oracle algebras are written out by hand from matrix models:
   Its lower central series has dims 6, 3, 1, 0.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -436,3 +437,22 @@ def test_exact_matmul_matches_object_product(r, inner, c, data):
     )
     got = ik.exact_matmul(a, b, ik.max_abs(a), ik.max_abs(b))
     assert np.array_equal(np.asarray(got, dtype=object), a @ b)
+
+
+def test_residue_primes_are_distinct_primes():
+    assert len(set(ik.PRIMES)) == len(ik.PRIMES) > 1000
+    for p in ik.PRIMES[:50] + ik.PRIMES[-50:]:
+        assert p < 2**21 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+@given(st.integers(0, len(ik.PRIMES) - 1), st.integers(1, 2048), st.integers(0, 2**32 - 1))
+def test_residue_matmul_matches_object_product(k, inner, seed):
+    p = ik.PRIMES[k]
+    rng = np.random.default_rng(seed)
+    # Row 0 and column 0 are uniform residues; the rest sit at p - 1 or
+    # just below, which pushes dot products towards inner * (p - 1)^2.
+    a = p - 1 - rng.integers(0, 4, size=(3, inner))
+    b = p - 1 - rng.integers(0, 4, size=(inner, 3))
+    a[0], b[:, 0] = rng.integers(0, p, size=inner), rng.integers(0, p, size=inner)
+    got = ik.residue_matmul(a.astype(np.float64), b.astype(np.float64), p)
+    assert got.astype(np.int64).tolist() == ((a.astype(object) @ b.astype(object)) % p).tolist()
