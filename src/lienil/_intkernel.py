@@ -1,12 +1,17 @@
-"""Exact integer batch kernels behind the nilpotent-algebra operations.
+"""Exact integer kernels: matrix products and the one row-reduction engine.
 
 All arithmetic is integer-exact.  Bulk products run on numpy int64 when
 an a-priori bound certifies that no intermediate value can overflow,
 and otherwise on object-dtype arrays of Python ints, so results are
 identical either way.  Products of residues modulo a word-size prime
 run on float64 BLAS, which is exact under the bound stated in
-residue_matmul.  Fractions appear only at the boundary when a row
-space is converted to its canonical rational basis.
+residue_matmul.
+
+ScaledRref is the package's only row reduction: the lower central
+series, graded pairings, and exactlin's rref, kernel and inverse all
+run on it.  Fractions appear only at the boundary: scaled_int turns a
+rational Matrix into integer rows, and to_subspace turns a row space
+back into its canonical rational basis.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlin import Matrix, Subspace
+from . import exactlin
 
 _INT64_SAFE = 2**62
 _FLOAT64_EXACT = 2**53
@@ -81,11 +86,12 @@ def residue_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def as_object_matrix(rows) -> np.ndarray:
-    a = np.array([[int(x) for x in row] for row in rows], dtype=object)
-    if a.size == 0:
-        a = a.reshape((len(rows), 0)) if rows else a.reshape((0, 0))
-    return a
+def scaled_int(m: exactlin.Matrix) -> tuple[np.ndarray, int]:
+    """(s * m as an object array of Python ints, s) for a rational
+    matrix m, where s is the least common denominator of its entries."""
+    s = math.lcm(*(x.denominator for row in m.entries for x in row))
+    rows = [[x.numerator * (s // x.denominator) for x in row] for row in m.entries]
+    return np.array(rows, dtype=object).reshape(m.rows, m.cols), s
 
 
 def max_abs(a: np.ndarray) -> int:
@@ -164,6 +170,12 @@ class ScaledRref:
     def dim(self) -> int:
         return len(self.pivots)
 
+    @property
+    def denominator(self) -> int:
+        """The common denominator d of the stored rows, which scales
+        every residual."""
+        return self._scaled()[2]
+
     def _scaled(self) -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray | None]:
         """(pivot columns, common-denominator numerators, denominator,
         max entry, int64 copy of the numerators when they fit)."""
@@ -203,9 +215,6 @@ class ScaledRref:
             return d * m64 - m64[:, piv] @ rnum64
         mo = _as_object(mat)
         return d * mo - mo[:, piv] @ rnum
-
-    def contains_row(self, v: np.ndarray) -> bool:
-        return not self.residuals(np.asarray(v, dtype=object).reshape(1, -1)).any()
 
     def insert(self, v: np.ndarray) -> bool:
         """Add v to the span; returns True if the dimension grew."""
@@ -274,18 +283,18 @@ class ScaledRref:
             return np.zeros((0, self.ambient), dtype=object)
         return np.stack(self.nums)
 
-    def to_subspace(self) -> Subspace:
+    def to_subspace(self) -> exactlin.Subspace:
         """The span as a canonical rational subspace; the stored rows
         already form the reduced echelon basis, so this is one exact
         division per entry."""
         if not self.nums:
-            return Subspace.zero(self.ambient)
+            return exactlin.Subspace.zero(self.ambient)
         rows = [
             tuple(Fraction(int(x), den) for x in num)
             for num, den in zip(self.nums, self.dens)
         ]
-        m = Matrix(tuple(rows), len(rows), self.ambient)
-        return Subspace(self.ambient, m)
+        m = exactlin.Matrix(tuple(rows), len(rows), self.ambient)
+        return exactlin.Subspace(self.ambient, m)
 
 
 def rref_from_rows(rows: np.ndarray, ambient: int) -> ScaledRref:

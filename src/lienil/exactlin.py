@@ -1,11 +1,12 @@
 """Exact rational linear algebra on small dense matrices.
 
-Everything here is built on ``fractions.Fraction``: no floats, no
-tolerances.  Subspaces are represented by their reduced row echelon
+Matrices and subspaces hold ``fractions.Fraction`` entries: no floats,
+no tolerances.  Subspaces are represented by their reduced row echelon
 basis, which is a canonical form, so two subspaces are equal iff their
-``Subspace`` values are equal.  This module is deliberately simple; the
-performance-sensitive integer kernels used on large algebras live in
-``_intkernel``.
+``Subspace`` values are equal.  RREF, and with it kernels, ranks and
+subspaces, and inverses run on the integer engine
+``_intkernel.ScaledRref``: rows are scaled to integers, reduced
+exactly, and read back as the canonical rational basis.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
+
+from . import _intkernel as ik
 
 Vector = tuple[Fraction, ...]
 
@@ -88,16 +93,6 @@ class Matrix:
         )
         return Matrix(data, self.rows, other.cols)
 
-    def apply(self, v: Sequence) -> Vector:
-        """Matrix-vector product self @ v."""
-        w = vector(v)
-        if len(w) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, w)) for row in self.entries)
-
-    def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
 
 def rref(m: Matrix) -> Matrix:
     """Canonical reduced row echelon form with zero rows dropped.
@@ -106,39 +101,12 @@ def rref(m: Matrix) -> Matrix:
     and below a pivot are zero.  The result depends only on the row
     space of ``m``.
     """
-    work = [list(r) for r in m.entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    data = tuple(tuple(row) for row in work[:r])
-    return Matrix(data, r, m.cols)
+    rows, _ = ik.scaled_int(m)
+    return ik.rref_from_rows(rows, m.cols).to_subspace().basis
 
 
 def rank(m: Matrix) -> int:
     return rref(m).rows
-
-
-def pivot_columns(m: Matrix) -> tuple[int, ...]:
-    """Pivot columns of rref(m); ``m`` itself need not be reduced."""
-    red = rref(m)
-    piv = []
-    for row in red.entries:
-        piv.append(next(j for j, x in enumerate(row) if x != 0))
-    return tuple(piv)
 
 
 @dataclass(frozen=True)
@@ -183,13 +151,6 @@ class Subspace:
                 w = [x - f * y for x, y in zip(w, row)]
         return all(x == 0 for x in w)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.entries)
-
-
-def member(s: Subspace, v: Sequence) -> bool:
-    return s.contains(v)
-
 
 def kernel(m: Matrix) -> Subspace:
     """Right null space {v : m @ v = 0} as a canonical subspace."""
@@ -206,46 +167,18 @@ def kernel(m: Matrix) -> Subspace:
     return Subspace.from_vectors(vecs, m.cols) if vecs else Subspace.zero(m.cols)
 
 
-def det(m: Matrix) -> Fraction:
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    work = [list(r) for r in m.entries]
-    n = m.rows
-    result = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            work[c], work[pr] = work[pr], work[c]
-            result = -result
-        pv = work[c][c]
-        result *= pv
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] / pv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return result
-
-
 def inverse(m: Matrix) -> Matrix:
+    """m^-1, read off the reduced row echelon form [I | m^-1] of [m | I]."""
     if m.rows != m.cols:
         raise ValueError("inverse needs a square matrix")
     n = m.rows
-    work = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i, r in enumerate(m.entries)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pr is None:
-            raise ValueError("matrix is singular")
-        work[c], work[pr] = work[pr], work[c]
-        pv = work[c][c]
-        work[c] = [x / pv for x in work[c]]
-        for i in range(n):
-            if i != c and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return Matrix.from_rows([row[n:] for row in work])
+    rows, s = ik.scaled_int(m)
+    red = ik.rref_from_rows(np.hstack([rows, s * np.eye(n, dtype=object)]), 2 * n)
+    # [m | I] always has rank n; m is invertible iff every pivot lies in m.
+    if red.pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    basis = red.to_subspace().basis
+    return Matrix(tuple(row[n:] for row in basis.entries), n, n)
 
 
 def random_unimodular(d: int, seed: int, entry_bound: int = 2**10) -> Matrix:

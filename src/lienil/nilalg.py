@@ -113,6 +113,17 @@ class NilpotentAlgebra:
         return out
 
 
+def _flat_tensor64(a: NilpotentAlgebra) -> np.ndarray | None:
+    """int_tensor's T reshaped to (n, n * n) in int64, or None when its
+    entries may not fit; kept in the algebra's cache beside T."""
+    if "tensor64" not in a._cache:
+        n = a.dim
+        t, _, tmax = a.int_tensor()
+        small = tmax < ik._INT64_SAFE
+        a._cache["tensor64"] = t.reshape(n, n * n).astype(np.int64) if small else None
+    return a._cache["tensor64"]
+
+
 def bracket(a: NilpotentAlgebra, x, y) -> tuple[Fraction, ...]:
     """[x, y] in coordinates, for coordinate vectors x and y."""
     xv, yv = vector(x), vector(y)
@@ -187,9 +198,10 @@ def _generator_series(a: NilpotentAlgebra) -> Filtration | None:
     # t_gen[b, g*n + c] = t[b, gen_idx[g], c], so u @ t_gen reshaped to
     # (rows * gens, n) lists the brackets [row, generator] batchwise.
     t_gen = t[:, gen_idx, :].reshape(n, len(gen_idx) * n)
-    small = tmax < ik._INT64_SAFE
-    t_gen64 = t_gen.astype(np.int64) if small else None
-    tflat64 = tflat.astype(np.int64) if small else None
+    tflat64 = _flat_tensor64(a)
+    t_gen64 = None
+    if tflat64 is not None:
+        t_gen64 = tflat64.reshape(n, n, n)[:, gen_idx, :].reshape(t_gen.shape)
 
     # Generator-level series M_1 = span G, M_{i+1} = [M_i, G].  Always
     # M_i <= N^i, so levels surviving past the dimension bound prove
@@ -252,7 +264,7 @@ def _definitional_series(a: NilpotentAlgebra) -> Filtration:
     n = a.dim
     t, _, tmax = a.int_tensor()
     tflat = t.reshape(n, n * n)
-    tflat64 = tflat.astype(np.int64) if tmax < ik._INT64_SAFE else None
+    tflat64 = _flat_tensor64(a)
     terms = [Subspace.full(n)]
     cur = np.eye(n, dtype=object)
     while cur.shape[0]:
@@ -321,77 +333,61 @@ class BilinearPairing:
     tensor: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
 
-def _coords_against(reps: Matrix, tail: Subspace, w) -> tuple[Fraction, ...]:
-    """Coordinates of w over the rows of reps, modulo the tail subspace.
-
-    reps and tail.basis rows together form a basis of the filtration
-    level containing w, and all their leading columns are distinct, so
-    one forward-substitution pass in leading-column order solves the
-    system exactly.  Tail coefficients are discarded.
-    """
-    wv = list(vector(w))
-    tagged = [
-        (next(c for c, x in enumerate(row) if x), r, row)
-        for r, row in enumerate(reps.entries)
-    ]
-    tagged += [(p, -1, row) for p, row in zip(tail.pivots(), tail.basis.entries)]
-    coords = [Fraction(0)] * reps.rows
-    for p, r, row in sorted(tagged, key=lambda item: item[0]):
-        if wv[p]:
-            f = wv[p] / row[p]
-            wv = [x - f * y for x, y in zip(wv, row)]
-            if r >= 0:
-                coords[r] = f
-    if any(wv):
-        raise AssertionError("bracket left the expected filtration level")
-    return tuple(coords)
-
-
 def graded_pairing(g: GradedAlgebra, i: int, j: int) -> BilinearPairing:
     """The pairing induced by the bracket on graded pieces i and j."""
     if i < 1 or j < 1:
         raise ValueError("graded degrees start at 1")
     a = g.algebra
-    cls = g.filtration.nilpotency_class
+    n = a.dim
     u = g.piece(i)
     v = g.piece(j)
-    if i + j > cls:
-        target = Matrix((), 0, a.dim)
-        tail = Subspace.zero(a.dim)
+    if i + j > g.filtration.nilpotency_class:
+        target = tail = Matrix((), 0, n)
     else:
         target = g.piece(i + j)
-        tail = g.filtration.terms[i + j]  # terms[i+j] = N^{i+j+1}
-    rows = []
-    for x in u.entries:
-        row = []
-        for y in v.entries:
-            w = bracket(a, x, y)
-            row.append(_coords_against(target, tail, w))
-        rows.append(tuple(row))
-    return BilinearPairing(i, j, (u.rows, v.rows), target.rows, tuple(rows))
+        tail = g.filtration.terms[i + j].basis  # terms[i+j] = N^{i+j+1}
+    du, dv, dt = u.rows, v.rows, target.rows
+
+    # Every bracket at once: w[r * dv + c] = cs * us * vs * [u_r, v_c],
+    # contracting u into the scaled structure tensor and then v.
+    t, cs, tmax = a.int_tensor()
+    ui, us = ik.scaled_int(u)
+    vi, vs = ik.scaled_int(v)
+    x = ik.exact_matmul(ui, t.reshape(n, n * n), ik.max_abs(ui), tmax,
+                        b64=_flat_tensor64(a), box=False)
+    x = x.reshape(du, n, n).transpose(0, 2, 1).reshape(du * n, n)
+    w = ik.exact_matmul(x, vi.T, box=False)
+    w = w.reshape(du, n, dv).transpose(0, 2, 1).reshape(du * dv, n)
+
+    # Rows [target_r | e_r] and [tail_s | 0] are independent on the first
+    # n columns, so the residual of [w | 0] is [0 | -d * coordinates]
+    # when w lies in target + tail, and nonzero on the first n columns
+    # otherwise.
+    reps, s = ik.scaled_int(Matrix(target.entries + tail.entries, dt + tail.rows, n))
+    e = ik.rref_from_rows(np.hstack([reps, s * np.eye(reps.shape[0], dt, dtype=object)]), n + dt)
+    res = e.residuals(np.hstack([w, np.zeros((du * dv, dt), dtype=w.dtype)]))
+    if res[:, :n].any():
+        raise AssertionError("bracket left the expected filtration level")
+    den = -e.denominator * cs * us * vs
+    coords = [tuple(Fraction(c, den) for c in row) for row in res[:, n:].tolist()]
+    tensor = tuple(tuple(coords[r * dv:(r + 1) * dv]) for r in range(du))
+    return BilinearPairing(i, j, (du, dv), dt, tensor)
+
+
+def _null_space(tensor, dim: int, target_dim: int) -> Subspace:
+    """{w : sum_b tensor[x][b][c] * w[b] = 0 for every x and c}."""
+    rows = [[t[b][c] for b in range(dim)] for t in tensor for c in range(target_dim)]
+    return kernel(Matrix.from_rows(rows, cols=dim))
 
 
 def right_kernel(p: BilinearPairing) -> Subspace:
     """{w in gr^j : pairing(u, w) = 0 for all u} as a canonical subspace."""
-    du, dv = p.source_dims
-    if du == 0 or p.target_dim == 0:
-        return Subspace.full(dv)
-    rows = []
-    for a in range(du):
-        for c in range(p.target_dim):
-            rows.append([p.tensor[a][b][c] for b in range(dv)])
-    return kernel(Matrix.from_rows(rows, cols=dv))
+    return _null_space(p.tensor, p.source_dims[1], p.target_dim)
 
 
 def left_kernel(p: BilinearPairing) -> Subspace:
-    du, dv = p.source_dims
-    if dv == 0 or p.target_dim == 0:
-        return Subspace.full(du)
-    rows = []
-    for b in range(dv):
-        for c in range(p.target_dim):
-            rows.append([p.tensor[a][b][c] for a in range(du)])
-    return kernel(Matrix.from_rows(rows, cols=du))
+    """{w in gr^i : pairing(w, v) = 0 for all v} as a canonical subspace."""
+    return _null_space(tuple(zip(*p.tensor)), p.source_dims[0], p.target_dim)
 
 
 def change_basis(a: NilpotentAlgebra, m: Matrix) -> NilpotentAlgebra:
@@ -401,17 +397,8 @@ def change_basis(a: NilpotentAlgebra, m: Matrix) -> NilpotentAlgebra:
     if m.rows != n or m.cols != n:
         raise ValueError("change of basis matrix must be dim x dim")
     minv = inverse(m)  # raises ValueError when singular
-
-    def scaled_int(mat: Matrix) -> tuple[np.ndarray, int]:
-        s = 1
-        for row in mat.entries:
-            for x in row:
-                s = s * x.denominator // math.gcd(s, x.denominator)
-        arr = np.array([[int(x * s) for x in row] for row in mat.entries], dtype=object)
-        return arr, s
-
-    mi, ms = scaled_int(m)
-    vi, vs = scaled_int(minv)
+    mi, ms = ik.scaled_int(m)
+    vi, vs = ik.scaled_int(minv)
     t, cs, tmax = a.int_tensor()
 
     # D[a, b, k] = sum_c T[a, b, c] * Vi[c, k]

@@ -235,10 +235,6 @@ def degree_histogram(rs: RootSystem) -> list[int]:
     return hist
 
 
-def count_at_degree(hist: list[int], d: int) -> int:
-    return hist[d - 1] if 1 <= d <= len(hist) else 0
-
-
 def highest_root(rs: RootSystem) -> Root:
     top = max(r.degree for r in rs.positive_roots)
     candidates = [r for r in rs.positive_roots if r.degree == top]

@@ -1,0 +1,65 @@
+"""Fraction Gauss-Jordan elimination: the oracle that the integer
+row-reduction engine behind lienil.exactlin is tested against.
+
+Nothing here shares code with lienil's elimination: rows are reduced
+column by column in Fraction arithmetic, the textbook way.
+"""
+
+from fractions import Fraction
+
+from lienil.exactlin import Matrix, Subspace
+
+
+def rref(m: Matrix) -> Matrix:
+    """Canonical reduced row echelon form with zero rows dropped."""
+    work = [list(r) for r in m.entries]
+    r = 0
+    for c in range(m.cols):
+        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        pv = work[r][c]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        r += 1
+        if r == len(work):
+            break
+    return Matrix(tuple(tuple(row) for row in work[:r]), r, m.cols)
+
+
+def kernel(m: Matrix) -> Subspace:
+    """Right null space: one vector per free column of rref(m)."""
+    red = rref(m)
+    piv = [next(j for j, x in enumerate(row) if x != 0) for row in red.entries]
+    vecs = []
+    for f in (j for j in range(m.cols) if j not in piv):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for row, p in zip(red.entries, piv):
+            v[p] = -row[f]
+        vecs.append(tuple(v))
+    return Subspace(m.cols, rref(Matrix(tuple(vecs), len(vecs), m.cols)))
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Gauss-Jordan on [m | I]; ValueError when m is singular."""
+    if m.rows != m.cols:
+        raise ValueError("inverse needs a square matrix")
+    n = m.rows
+    work = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(m.entries)]
+    for c in range(n):
+        pr = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if pr is None:
+            raise ValueError("matrix is singular")
+        work[c], work[pr] = work[pr], work[c]
+        pv = work[c][c]
+        work[c] = [x / pv for x in work[c]]
+        for i in range(n):
+            if i != c and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return Matrix(tuple(tuple(row[n:]) for row in work), n, n)

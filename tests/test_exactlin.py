@@ -1,18 +1,21 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_linalg as oracle
+import lienil
 from lienil.exactlin import (
     Matrix,
     Subspace,
-    det,
     inverse,
     kernel,
-    member,
-    pivot_columns,
     random_unimodular,
     rank,
     rref,
@@ -54,6 +57,61 @@ def small_matrix(draw, max_dim=5):
         )
     )
     return Matrix.from_rows(rows)
+
+
+oracle_entries = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12),
+)
+
+
+@st.composite
+def low_rank_matrix(draw, square=False):
+    """A product of r x k and k x c matrices, so its rank is at most k:
+    empty, zero, rank-deficient and full-rank matrices all occur."""
+    r = draw(st.integers(min_value=0, max_value=6))
+    c = r if square else draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=0, max_value=min(r, c)))
+    a = [[draw(oracle_entries) for _ in range(k)] for _ in range(r)]
+    b = [[draw(oracle_entries) for _ in range(c)] for _ in range(k)]
+    rows = [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(c)]
+            for i in range(r)]
+    return Matrix.from_rows(rows, cols=c)
+
+
+class TestAgainstFractionOracle:
+    """The integer engine against textbook Fraction Gauss-Jordan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(low_rank_matrix())
+    def test_rref(self, m):
+        assert rref(m) == oracle.rref(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(low_rank_matrix())
+    def test_kernel(self, m):
+        assert kernel(m) == oracle.kernel(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(low_rank_matrix(square=True))
+    def test_inverse(self, m):
+        try:
+            want = oracle.inverse(m)
+        except ValueError:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                inverse(m)
+        else:
+            assert inverse(m) == want
+
+
+@pytest.mark.parametrize("module", ["lienil.exactlin", "lienil._intkernel"])
+def test_module_imports_first(module):
+    # exactlin and _intkernel import each other; either may come first.
+    env = dict(os.environ, PYTHONPATH=str(Path(lienil.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestRref:
@@ -136,8 +194,7 @@ class TestRankKernel:
     @given(small_matrix())
     def test_kernel_vectors_annihilate(self, m):
         k = kernel(m)
-        for basis_row in k.basis.entries:
-            assert all(x == 0 for x in m.apply(basis_row))
+        assert m @ k.basis.transpose() == Matrix.zeros(m.rows, k.dim)
 
 
 class TestSubspace:
@@ -145,7 +202,6 @@ class TestSubspace:
         s = Subspace.from_vectors([[1, 0, 1], [0, 1, 1]], 3)
         assert s.contains([2, 3, 5])
         assert not s.contains([0, 0, 1])
-        assert member(s, [1, 1, 2])
 
     def test_membership_dimension_mismatch(self):
         s = Subspace.full(3)
@@ -171,20 +227,11 @@ class TestSubspace:
 
 
 class TestDetInverse:
-    def test_det_against_permutation_expansion(self):
-        mats = [
-            Matrix.from_rows([[2]]),
-            Matrix.from_rows([[1, 2], [3, 4]]),
-            Matrix.from_rows([[0, 1, 2], [1, 0, 3], [4, -3, 8]]),
-            Matrix.from_rows([[1, 0, 2, -1], [3, 0, 0, 5], [2, 1, 4, -3], [1, 0, 5, 0]]),
-        ]
-        for m in mats:
-            assert det(m) == det_by_permutation_expansion(m)
-
     def test_singular(self):
-        assert det(Matrix.from_rows([[1, 2], [2, 4]])) == 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="matrix is singular"):
             inverse(Matrix.from_rows([[1, 2], [2, 4]]))
+        with pytest.raises(ValueError, match="square"):
+            inverse(Matrix.from_rows([[1, 2, 3], [0, 1, 0]]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10**6))
@@ -210,13 +257,14 @@ class TestRandomUnimodular:
 
     def test_integer_entries(self):
         m = random_unimodular(8, 7)
-        assert m.is_integer()
+        assert all(x.denominator == 1 for row in m.entries for x in row)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**9))
     def test_determinant_is_unit(self, d, seed):
+        # An integer matrix has determinant +-1 iff its inverse is integral.
         m = random_unimodular(d, seed)
-        assert det(m) in (F(1), F(-1))
+        assert all(x.denominator == 1 for row in inverse(m).entries for x in row)
 
     def test_determinant_small_cases_vs_oracle(self):
         for d in (2, 3, 4):
@@ -237,7 +285,3 @@ class TestGuards:
             Matrix.from_rows([[1, 2], [1]])
         with pytest.raises(ValueError):
             Matrix.identity(2) @ Matrix.identity(3)
-
-    def test_pivot_columns_helper(self):
-        m = Matrix.from_rows([[0, 2, 1], [0, 4, 3]])
-        assert pivot_columns(m) == (1, 2)
