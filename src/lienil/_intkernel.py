@@ -8,10 +8,10 @@ run on float64 BLAS, which is exact under the bound stated in
 residue_matmul.
 
 ScaledRref is the package's only row reduction: the lower central
-series, graded pairings, and exactlin's rref, kernel and inverse all
-run on it.  Fractions appear only at the boundary: scaled_int turns a
-rational Matrix into integer rows, and to_subspace turns a row space
-back into its canonical rational basis.
+series, graded pairings, scaled_inverse, and exactlin's rref, kernel
+and inverse all run on it.  Fractions appear only at the boundary:
+scaled_int turns a rational Matrix into integer rows, and to_subspace
+turns a row space back into its canonical rational basis.
 """
 
 from __future__ import annotations
@@ -301,3 +301,19 @@ def rref_from_rows(rows: np.ndarray, ambient: int) -> ScaledRref:
     e = ScaledRref(ambient)
     e.insert_rows(rows)
     return e
+
+
+def scaled_inverse(mi: np.ndarray, s: int) -> tuple[np.ndarray, int]:
+    """(V, d) with V / d the inverse of the square matrix mi / s, for
+    an integer matrix mi; V holds Python ints.
+
+    [mi | s * I] reduces to [I | (mi / s)^-1]: V is the right half of
+    the reduced rows over their common denominator d.  The rank is
+    always n, so mi is singular iff some pivot lies past column n.
+    """
+    n = mi.shape[0]
+    red = rref_from_rows(np.hstack([mi, s * np.eye(n, dtype=object)]), 2 * n)
+    if red.pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    _, rnum, d, _, _ = red._scaled()
+    return rnum[:, n:], d

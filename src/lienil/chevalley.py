@@ -161,9 +161,8 @@ def verify_jacobi(a: NilpotentAlgebra) -> JacobiReport:
     violations = tuple(zip(x[keep].tolist(), y[keep].tolist(), z[keep].tolist()))
 
     edge = np.zeros((n, n), dtype=np.int64)
-    if a.constants:
-        i, j = np.array(list(a.constants)).T
-        edge[i, j] = edge[j, i] = 1
+    i, j = a.bracket_pairs()
+    edge[i, j] = edge[j, i] = 1
     free = 1 - edge - np.eye(n, dtype=np.int64)  # distinct pairs with zero bracket
     untouched = int(((free @ free) * free).sum()) // 6
     return JacobiReport(not violations, violations, math.comb(n, 3) - untouched)

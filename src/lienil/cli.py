@@ -137,11 +137,12 @@ def algebra_from_payload(payload) -> NilpotentAlgebra:
 def save_algebra(path: str, a: NilpotentAlgebra, metadata: dict | None = None) -> None:
     """Write a to path atomically: a temporary file in the same directory
     replaces path only once it is complete, so rewriting a file in place
-    never leaves it truncated."""
+    never leaves it truncated.  The file is compact JSON: without indent,
+    json.dumps runs its C encoder."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(_json(algebra_to_payload(a, metadata)))
+            fh.write(json.dumps(algebra_to_payload(a, metadata), sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

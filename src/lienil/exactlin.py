@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import _intkernel as ik
 
 Vector = tuple[Fraction, ...]
@@ -171,14 +169,9 @@ def inverse(m: Matrix) -> Matrix:
     """m^-1, read off the reduced row echelon form [I | m^-1] of [m | I]."""
     if m.rows != m.cols:
         raise ValueError("inverse needs a square matrix")
-    n = m.rows
-    rows, s = ik.scaled_int(m)
-    red = ik.rref_from_rows(np.hstack([rows, s * np.eye(n, dtype=object)]), 2 * n)
-    # [m | I] always has rank n; m is invertible iff every pivot lies in m.
-    if red.pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    basis = red.to_subspace().basis
-    return Matrix(tuple(row[n:] for row in basis.entries), n, n)
+    v, d = ik.scaled_inverse(*ik.scaled_int(m))
+    rows = tuple(tuple(Fraction(x, d) for x in row) for row in v.tolist())
+    return Matrix(rows, m.rows, m.cols)
 
 
 def random_unimodular(d: int, seed: int, entry_bound: int = 2**10) -> Matrix:

@@ -1,8 +1,9 @@
 """Nilpotent Lie algebras given by exact structure constants.
 
 The algebra is basis-agnostic: nothing in this module knows about
-roots.  Structure constants are stored sparsely for pairs i < j; the
-missing half is implied by antisymmetry.
+roots.  Structure constants are held as one antisymmetric integer
+tensor over a common denominator; the sparse rational table for pairs
+i < j is a view of it for I/O.
 
 The lower central series is computed through a generator-level series
 that is then certified against the definition, which keeps the cost on
@@ -24,13 +25,13 @@ one per basis vector:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import _intkernel as ik
-from .exactlin import Matrix, Subspace, inverse, kernel, vector
+from .exactlin import Matrix, Subspace, kernel, vector
 
 Constants = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
 
@@ -60,26 +61,71 @@ def _clean_constants(dim: int, constants) -> Constants:
     return clean
 
 
-@dataclass(frozen=True, eq=False)
 class NilpotentAlgebra:
-    """dim plus sparse antisymmetric structure constants c[i][j] -> k."""
+    """dim plus antisymmetric structure constants c[i][j] -> k.
 
-    dim: int
-    constants: Constants
+    The canonical form is the scaled integer tensor of int_tensor():
+    T[i, j, k] = scale * c[i][j][k], scale the least common denominator
+    of the constants.  Equality and every computation read T.
+    ``constants`` is the sparse rational view used for I/O: keys (i, j)
+    with i < j, terms (k, Fraction) sorted by k.  An algebra given by
+    constants derives T on first use; one built from a tensor, as
+    change_basis does, builds the view only when it is read.
+    """
 
     def __init__(self, dim: int, constants):
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "constants", _clean_constants(dim, constants))
-        object.__setattr__(self, "_cache", {})
+        self.dim = dim
+        self._constants: Constants | None = _clean_constants(dim, constants)
+        self._cache: dict = {}
+
+    @classmethod
+    def _from_scaled(cls, w: np.ndarray, denom: int) -> "NilpotentAlgebra":
+        """The algebra with constants w / denom, for an antisymmetric
+        (n, n, n) integer tensor w (object or int64) and denom >= 1.
+
+        Dividing by g = gcd(denom, content(w)) leaves exactly the T and
+        scale that int_tensor derives from the constants: the least
+        common denominator of the reduced fractions w / denom is
+        denom / g.
+        """
+        n = w.shape[0]
+        g = math.gcd(denom, ik._content(w.ravel())) if denom > 1 else 1
+        if g != 1:
+            w = w // g
+        tmax = ik.max_abs(w)
+        a = cls.__new__(cls)
+        a.dim = n
+        a._constants = None
+        a._cache = {"tensor": (ik._as_object(w), denom // g, tmax)}
+        if w.dtype == np.int64 and tmax < ik._INT64_SAFE:
+            a._cache["tensor64"] = w.reshape(n, n * n)
+        return a
+
+    @property
+    def constants(self) -> Constants:
+        """The constants as a sparse dict, built from T on first read."""
+        if self._constants is None:
+            t, scale, _ = self.int_tensor()
+            i, j, k = np.nonzero(t)  # row-major: keys and outputs ascend
+            keep = i < j
+            i, j, k = i[keep], j[keep], k[keep]
+            view: dict[tuple[int, int], list] = {}
+            for x, y, z, v in zip(i.tolist(), j.tolist(), k.tolist(), t[i, j, k].tolist()):
+                view.setdefault((x, y), []).append((z, Fraction(v, scale)))
+            self._constants = {key: tuple(terms) for key, terms in view.items()}
+        return self._constants
 
     def __eq__(self, other):
-        return (
-            isinstance(other, NilpotentAlgebra)
-            and self.dim == other.dim
-            and self.constants == other.constants
-        )
+        if not isinstance(other, NilpotentAlgebra) or self.dim != other.dim:
+            return False
+        t, scale, _ = self.int_tensor()
+        u, other_scale, _ = other.int_tensor()
+        return scale == other_scale and np.array_equal(t, u)
+
+    def __repr__(self) -> str:
+        return f"NilpotentAlgebra({self.dim}, {self.constants!r})"
 
     def pair_terms(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
         """Terms of [e_i, e_j] for any i != j, antisymmetry applied."""
@@ -87,22 +133,32 @@ class NilpotentAlgebra:
             return self.constants.get((i, j), ())
         return tuple((k, -v) for k, v in self.constants.get((j, i), ()))
 
+    def bracket_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (i, j) of the pairs i < j with [e_i, e_j] != 0,
+        in row-major order, read from the tensor."""
+        n = self.dim
+        t64 = _flat_tensor64(self)
+        t = t64 if t64 is not None else self.int_tensor()[0]
+        nonzero = (t.reshape(n, n, n) != 0).any(axis=2)
+        return np.nonzero(np.triu(nonzero, 1))
+
     def int_tensor(self) -> tuple[np.ndarray, int, int]:
         """Full antisymmetric tensor scaled to integers.
 
-        Returns (T, scale, max_abs) with T[i, j, k] = scale * c[i][j][k].
+        Returns (T, scale, max_abs) with T[i, j, k] = scale * c[i][j][k],
+        T an object array of Python ints.
         """
         cached = self._cache.get("tensor")
         if cached is not None:
             return cached
         n = self.dim
         scale = 1
-        for terms in self.constants.values():
+        for terms in self._constants.values():
             for _, v in terms:
                 scale = scale * v.denominator // math.gcd(scale, v.denominator)
         t = np.zeros((n, n, n), dtype=object)
         biggest = 0
-        for (i, j), terms in self.constants.items():
+        for (i, j), terms in self._constants.items():
             for k, v in terms:
                 x = int(v * scale)
                 t[i, j, k] = x
@@ -189,8 +245,9 @@ def _generator_series(a: NilpotentAlgebra) -> Filtration | None:
 
     # N^2 straight from the constant rows.
     e2 = ik.ScaledRref(n)
-    if a.constants:
-        e2.insert_rows(np.stack([t[i, j] for (i, j) in a.constants]))
+    i, j = a.bracket_pairs()
+    if i.size:
+        e2.insert_rows(t[i, j])
     if e2.dim == n:
         raise NotNilpotentError("derived subalgebra is the whole algebra")
 
@@ -291,6 +348,8 @@ class GradedAlgebra:
     algebra: NilpotentAlgebra
     filtration: Filtration
     pieces: tuple[Matrix, ...]
+    # graded_pairing's row space per target degree (see _target_rref).
+    _targets: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -341,12 +400,8 @@ def graded_pairing(g: GradedAlgebra, i: int, j: int) -> BilinearPairing:
     n = a.dim
     u = g.piece(i)
     v = g.piece(j)
-    if i + j > g.filtration.nilpotency_class:
-        target = tail = Matrix((), 0, n)
-    else:
-        target = g.piece(i + j)
-        tail = g.filtration.terms[i + j].basis  # terms[i+j] = N^{i+j+1}
-    du, dv, dt = u.rows, v.rows, target.rows
+    e = _target_rref(g, i + j)
+    du, dv, dt = u.rows, v.rows, e.ambient - n
 
     # Every bracket at once: w[r * dv + c] = cs * us * vs * [u_r, v_c],
     # contracting u into the scaled structure tensor and then v.
@@ -359,12 +414,8 @@ def graded_pairing(g: GradedAlgebra, i: int, j: int) -> BilinearPairing:
     w = ik.exact_matmul(x, vi.T, box=False)
     w = w.reshape(du, n, dv).transpose(0, 2, 1).reshape(du * dv, n)
 
-    # Rows [target_r | e_r] and [tail_s | 0] are independent on the first
-    # n columns, so the residual of [w | 0] is [0 | -d * coordinates]
-    # when w lies in target + tail, and nonzero on the first n columns
-    # otherwise.
-    reps, s = ik.scaled_int(Matrix(target.entries + tail.entries, dt + tail.rows, n))
-    e = ik.rref_from_rows(np.hstack([reps, s * np.eye(reps.shape[0], dt, dtype=object)]), n + dt)
+    # The residual of [w | 0] is [0 | -d * coordinates] when w lies in
+    # target + tail, and nonzero on the first n columns otherwise.
     res = e.residuals(np.hstack([w, np.zeros((du * dv, dt), dtype=w.dtype)]))
     if res[:, :n].any():
         raise AssertionError("bracket left the expected filtration level")
@@ -372,6 +423,26 @@ def graded_pairing(g: GradedAlgebra, i: int, j: int) -> BilinearPairing:
     coords = [tuple(Fraction(c, den) for c in row) for row in res[:, n:].tolist()]
     tensor = tuple(tuple(coords[r * dv:(r + 1) * dv]) for r in range(du))
     return BilinearPairing(i, j, (du, dv), dt, tensor)
+
+
+def _target_rref(g: GradedAlgebra, k: int) -> ik.ScaledRref:
+    """Row space of [target_r | e_r] and [tail_t | 0], scaled to
+    integers, for the degree-k representatives and the basis of
+    N^{k+1}.  The rows are independent on the first n columns.  Cached
+    on g: every pairing into degree k reduces against it."""
+    cached = g._targets.get(k)
+    if cached is None:
+        n = g.algebra.dim
+        if k > g.filtration.nilpotency_class:
+            target = tail = Matrix((), 0, n)
+        else:
+            target = g.piece(k)
+            tail = g.filtration.terms[k].basis  # terms[k] = N^{k+1}
+        dt = target.rows
+        reps, s = ik.scaled_int(Matrix(target.entries + tail.entries, dt + tail.rows, n))
+        cached = g._targets[k] = ik.rref_from_rows(
+            np.hstack([reps, s * np.eye(reps.shape[0], dt, dtype=object)]), n + dt)
+    return cached
 
 
 def _null_space(tensor, dim: int, target_dim: int) -> Subspace:
@@ -396,26 +467,22 @@ def change_basis(a: NilpotentAlgebra, m: Matrix) -> NilpotentAlgebra:
     n = a.dim
     if m.rows != n or m.cols != n:
         raise ValueError("change of basis matrix must be dim x dim")
-    minv = inverse(m)  # raises ValueError when singular
     mi, ms = ik.scaled_int(m)
-    vi, vs = ik.scaled_int(minv)
+    vi, vs = ik.scaled_inverse(mi, ms)  # raises ValueError when singular
     t, cs, tmax = a.int_tensor()
-
-    # D[a, b, k] = sum_c T[a, b, c] * Vi[c, k]
-    d = ik.exact_matmul(t.reshape(n * n, n), vi, tmax, ik.max_abs(vi)).reshape(n, n, n)
-    # X[a, j, k] = sum_b Mi[j, b] * D[a, b, k]
+    t64 = _flat_tensor64(a)
     mmax = ik.max_abs(mi)
-    dmax = ik.max_abs(d.reshape(n * n, n))
-    x = np.empty((n, n, n), dtype=object)
-    for idx in range(n):
-        x[idx] = ik.exact_matmul(mi, d[idx], mmax, dmax)
-    # W[i, j, k] = sum_a Mi[i, a] * X[a, j, k]
-    w = ik.exact_matmul(mi, x.reshape(n, n * n), mmax, ik.max_abs(x.reshape(n, n * n))).reshape(n, n, n)
 
-    denom = cs * ms * ms * vs
-    new: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    nz = np.nonzero(w)
-    for i, j, k in zip(*nz):
-        if i < j:
-            new.setdefault((int(i), int(j)), []).append((int(k), Fraction(int(w[i, j, k]), denom)))
-    return NilpotentAlgebra(n, {key: tuple(vals) for key, vals in new.items()})
+    # With M = mi / ms and M^-1 = vi / vs, the new constants are
+    # W[i, j, k] / (cs * ms^2 * vs), W = sum Mi[i, a] Mi[j, b] T[a, b, c] Vi[c, k],
+    # taken as three flat products:
+    # D[a, b, k] = sum_c T[a, b, c] * Vi[c, k]
+    d = ik.exact_matmul((t if t64 is None else t64).reshape(n * n, n), vi,
+                        tmax, ik.max_abs(vi), box=False)
+    # X[j, a, k] = sum_b Mi[j, b] * D[a, b, k]
+    d = d.reshape(n, n, n).transpose(1, 0, 2).reshape(n, n * n)
+    x = ik.exact_matmul(mi, d, mmax, ik.max_abs(d), box=False)
+    # W[i, j, k] = sum_a Mi[i, a] * X[j, a, k]
+    x = x.reshape(n, n, n).transpose(1, 0, 2).reshape(n, n * n)
+    w = ik.exact_matmul(mi, x, mmax, ik.max_abs(x), box=False)
+    return NilpotentAlgebra._from_scaled(w.reshape(n, n, n), cs * ms * ms * vs)

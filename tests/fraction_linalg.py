@@ -63,3 +63,27 @@ def inverse(m: Matrix) -> Matrix:
                 f = work[i][c]
                 work[i] = [x - f * y for x, y in zip(work[i], work[c])]
     return Matrix(tuple(tuple(row[n:]) for row in work), n, n)
+
+
+def change_basis(a, m: Matrix) -> dict:
+    """Constants of a in the basis given by the rows of m, as a dict:
+    c'[i,j,k] = sum m[i,a] m[j,b] c[a,b,c] m^-1[c,k], computed with
+    Matrix @ on the full antisymmetric table."""
+    n = a.dim
+    table = [[Fraction(0)] * n for _ in range(n * n)]
+    for (i, j), terms in a.constants.items():
+        for k, v in terms:
+            table[i * n + j][k] = v
+            table[j * n + i][k] = -v
+    pairs = Matrix.from_rows([
+        [m.entries[i][p] * m.entries[j][q] for p in range(n) for q in range(n)]
+        for i in range(n) for j in range(n)
+    ])
+    new = pairs @ (Matrix.from_rows(table) @ inverse(m))
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            terms = tuple((k, v) for k, v in enumerate(new.entries[i * n + j]) if v)
+            if terms:
+                out[(i, j)] = terms
+    return out

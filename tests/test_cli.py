@@ -11,8 +11,9 @@ import pytest
 
 from lienil import cli
 from lienil.chevalley import nilradical
+from lienil.exactlin import Matrix, random_unimodular
 from lienil.fingerprint import simple_dimension
-from lienil.nilalg import NilpotentAlgebra
+from lienil.nilalg import NilpotentAlgebra, change_basis
 from lienil.rootsys import SimpleType, all_types, build_root_system
 
 
@@ -108,15 +109,29 @@ def test_save_is_deterministic(tmp_path):
     assert p1.read_text() == p2.read_text()
 
 
+def test_save_load_round_trip_of_scrambled_table(tmp_path):
+    # Scrambled constants are dense rationals; the compact file must
+    # read back as the same algebra.
+    a = nilradical(build_root_system(SimpleType("B", 3)))
+    m = random_unimodular(a.dim, 5) @ Matrix.from_rows(
+        [[F(1, k + 2) if i == k else 0 for k in range(a.dim)] for i in range(a.dim)])
+    b = change_basis(a, m)
+    assert any(v.denominator > 1 for terms in b.constants.values() for _, v in terms)
+    path = tmp_path / "b3.json"
+    cli.save_algebra(str(path), b, metadata={"seed": 5})
+    assert cli.load_algebra(str(path)) == b
+    assert json.loads(path.read_text())["metadata"] == {"seed": 5}
+
+
 def test_failed_save_keeps_old_file(tmp_path, monkeypatch):
     path = tmp_path / "a3.json"
     cli.save_algebra(str(path), nilradical(build_root_system(SimpleType("A", 3))))
     before = path.read_bytes()
 
-    def broken(obj):
+    def broken(a, metadata=None):
         raise RuntimeError("serialization failed")
 
-    monkeypatch.setattr(cli, "_json", broken)
+    monkeypatch.setattr(cli, "algebra_to_payload", broken)
     with pytest.raises(RuntimeError):
         cli.save_algebra(str(path), heisenberg())
     assert path.read_bytes() == before

@@ -15,18 +15,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_linalg as oracle
 from lienil import _intkernel as ik
-from lienil.chevalley import nilradical
+from lienil.chevalley import nilradical, verify_jacobi
 from lienil.exactlin import Matrix, Subspace, random_unimodular
+from lienil.fingerprint import identify
 from lienil.nilalg import (
     GradedAlgebra,
     NilpotentAlgebra,
     NotNilpotentError,
     _definitional_series,
+    _flat_tensor64,
     bracket,
     change_basis,
     graded,
@@ -457,6 +459,78 @@ def test_change_basis_preserves_brackets(seed):
     w_old = bracket(N4, x_old, y_old)
     w_new = bracket(b, x_new, y_new)
     assert (Matrix.from_rows([w_new]) @ m).row(0) == w_old
+
+
+def _basis_matrices(n):
+    """Invertible n x n matrices: unimodular, unimodular times a rational
+    diagonal, and arbitrary small rational ones."""
+    unimodular = st.integers(0, 10_000).map(lambda s: random_unimodular(n, s))
+    diagonal = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=7)
+                        .filter(bool), min_size=n, max_size=n)
+    scaled = st.tuples(unimodular, diagonal).map(
+        lambda md: md[0] @ Matrix.from_rows(
+            [[md[1][i] if i == k else 0 for k in range(n)] for i in range(n)]))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    dense = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n).map(
+        Matrix.from_rows)
+    return st.one_of(unimodular, scaled, dense)
+
+
+@st.composite
+def algebra_and_basis(draw):
+    """Random antisymmetric tables (not necessarily Lie algebras) with
+    small, 2^70-sized and rational constants, and an invertible basis."""
+    n = draw(st.integers(1, 5))
+    value = st.one_of(
+        st.integers(-3, 3),
+        st.integers(-2**70, 2**70),
+        st.fractions(max_denominator=2**20).map(lambda x: x * 2**50),
+        st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    )
+    constants = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            constants[(i, j)] = tuple(draw(st.lists(
+                st.tuples(st.integers(0, n - 1), value), max_size=2, unique_by=lambda t: t[0])))
+    m = draw(_basis_matrices(n))
+    try:
+        oracle.inverse(m)
+    except ValueError:
+        assume(False)
+    return NilpotentAlgebra(n, constants), m
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_and_basis())
+@example((NilpotentAlgebra(3, {(0, 1): ((2, 2**70 + 1),), (1, 2): ((0, F(-7, 3)),)}),
+          random_unimodular(3, 4)))
+@example((NilpotentAlgebra(3, {(0, 1): ((2, F(1, 2)),)}),
+          Matrix.from_rows([(2, 0, 0), (0, 1, 0), (0, 0, 1)])))
+def test_change_basis_matches_fraction_oracle(case):
+    a, m = case
+    b = change_basis(a, m)
+    want = NilpotentAlgebra(a.dim, oracle.change_basis(a, m))
+    got_t, got_scale, got_max = b.int_tensor()
+    want_t, want_scale, want_max = want.int_tensor()
+    assert (got_scale, got_max) == (want_scale, want_max)
+    assert got_t.dtype == object and np.array_equal(got_t, want_t)
+    assert b == want
+    assert b.constants == want.constants
+    assert NilpotentAlgebra(b.dim, b.constants) == b
+    if want_max < ik._INT64_SAFE:
+        assert np.array_equal(_flat_tensor64(b), want_t.reshape(a.dim, -1).astype(np.int64))
+    else:
+        assert _flat_tensor64(b) is None
+
+
+def test_scrambled_identification_never_builds_the_fraction_view():
+    # identify and verify_jacobi read the integer tensor only; the
+    # sparse Fraction table is for I/O.
+    a = nilradical(build_root_system(SimpleType.parse("E6")))
+    b = change_basis(a, random_unimodular(a.dim, 1))
+    assert identify(b).canonical == SimpleType.parse("E6")
+    assert verify_jacobi(b).ok
+    assert b._constants is None
 
 
 # ------------------------------------------------------------ integer kernel
