@@ -1,17 +1,18 @@
 """Exact integer kernels: matrix products and the one row-reduction engine.
 
-All arithmetic is integer-exact.  Bulk products run on numpy int64 when
-an a-priori bound certifies that no intermediate value can overflow,
-and otherwise on object-dtype arrays of Python ints, so results are
-identical either way.  Products of residues modulo a word-size prime
-run on float64 BLAS, which is exact under the bound stated in
-residue_matmul.
+All arithmetic is integer-exact.  Bulk products run on float64 BLAS
+when an a-priori bound keeps every partial dot product below 2^53, on
+numpy int64 below 2^62, and otherwise on object arrays of Python ints,
+so every route gives the same result.  Residue products modulo a
+word-size prime run on float64 BLAS, exact under residue_matmul's bound.
 
 ScaledRref is the package's only row reduction: the lower central
 series, graded pairings, scaled_inverse, and exactlin's rref, kernel
-and inverse all run on it.  Fractions appear only at the boundary:
-scaled_int turns a rational Matrix into integer rows, and to_subspace
-turns a row space back into its canonical rational basis.
+and inverse all run on it.  It reduces modulo primes from PRIMES, with
+CRT and rational reconstruction under an exact certificate
+(_certified_rref).  Fractions appear only at the boundary: scaled_int
+turns a rational Matrix into integer rows, and to_subspace turns a row
+space back into its canonical rational basis.
 """
 
 from __future__ import annotations
@@ -111,10 +112,10 @@ def _as_int64(a: np.ndarray) -> np.ndarray:
 def exact_matmul(a: np.ndarray, b: np.ndarray, a_max: int | None = None,
                  b_max: int | None = None, b64: np.ndarray | None = None,
                  box: bool = True) -> np.ndarray:
-    """a @ b with exact integer results, int64-accelerated when safe.
+    """a @ b with exact integer results, on BLAS or int64 when safe.
 
     b64 may hold a pre-converted int64 copy of b to spare repeated
-    conversions.  With box=False the accelerated path returns the raw
+    conversions.  With box=False the accelerated paths return the raw
     int64 product; callers must then box entries (astype to object)
     before mixing them into unbounded arithmetic.
     """
@@ -124,27 +125,144 @@ def exact_matmul(a: np.ndarray, b: np.ndarray, a_max: int | None = None,
         a_max = max_abs(a)
     if b_max is None:
         b_max = max_abs(b)
-    inner = a.shape[1]
-    if a_max and b_max and inner * a_max * b_max < _INT64_SAFE:
-        out = _as_int64(a) @ (b64 if b64 is not None else _as_int64(b))
+    bound = a.shape[1] * a_max * b_max
+    if a_max and b_max and bound < _INT64_SAFE:
+        out = _int64_matmul(_as_int64(a), b64 if b64 is not None else _as_int64(b), bound)
         return out.astype(object) if box else out
     return _as_object(a) @ _as_object(b)
 
 
-def _content(v: np.ndarray) -> int:
-    """gcd of the entries of an integer vector, 0 for the zero vector."""
-    m = max_abs(v)
-    if m == 0:
-        return 0
-    if m < _INT64_SAFE:
-        return int(np.gcd.reduce(v.astype(np.int64)))
-    g = 0
-    for x in v:
-        if x:
-            g = math.gcd(g, int(x))
-            if g == 1:
-                break
-    return g
+def _int64_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """a @ b for int64 matrices with partial dot products within bound <
+    2^62; below 2^53 on float64 BLAS, exact there, a slice of rows at a time."""
+    if bound >= _FLOAT64_EXACT:
+        return a @ b
+    out, bf = np.empty((a.shape[0], b.shape[1]), dtype=np.int64), b.astype(np.float64)
+    step = 2**17 // max(1, b.shape[1]) + 1
+    for lo in range(0, a.shape[0], step):
+        out[lo:lo + step] = a[lo:lo + step].astype(np.float64) @ bf
+    return out
+
+
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    return (a % p).astype(np.int64, copy=False)
+
+
+def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    if a.shape[1] * (p - 1) ** 2 >= _FLOAT64_EXACT:
+        return a @ b % p  # int64 holds inner * (p - 1)^2 for inner below 2^20
+    return residue_matmul(a.astype(np.float64), b.astype(np.float64), p).astype(np.int64)
+
+
+def _eliminate(x: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Gauss-Jordan elimination of int64 residues x mod p in place, one numpy
+    step per column: (pivots, row permutation); reduced rows in x[:rank]."""
+    rows, cols = x.shape
+    order = np.arange(rows)
+    piv: list[int] = []
+    for c in range(cols):
+        k = len(piv)
+        nz = np.flatnonzero(x[k:, c])
+        if not nz.size:
+            continue
+        i = k + int(nz[0])
+        if i != k:
+            x[[k, i]] = x[[i, k]]
+            order[[k, i]] = order[[i, k]]
+        x[k, c:] = x[k, c:] * pow(int(x[k, c]), -1, p) % p
+        f = x[:, c].copy()
+        f[k] = 0
+        x[:, c:] = (x[:, c:] - np.outer(f, x[k, c:])) % p
+        piv.append(c)
+    return piv, order
+
+
+def _echelon_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Reduced echelon form of int64 residues a mod p: (pivots, indices of
+    rows of a spanning it, reduced rows).  `cols` rows are eliminated at a
+    time; one residue product reduces the rest and drops those that vanish."""
+    cols = a.shape[1]
+    piv, sel, red = [], np.zeros(0, dtype=np.intp), np.zeros((0, cols), dtype=np.int64)
+    idx = np.arange(a.shape[0])
+    while idx.size:
+        x = a[idx]
+        if piv:
+            x = (x - _mod_matmul(x[:, piv], red, p)) % p
+        nonzero = x.any(axis=1)
+        idx, x = idx[nonzero], x[nonzero][:cols]
+        if not idx.size:
+            break
+        bpiv, order = _eliminate(x, p)
+        bred = x[:len(bpiv)]
+        if piv:
+            red = (red - _mod_matmul(red[:, bpiv], bred, p)) % p
+        piv, sel, red = piv + bpiv, np.append(sel, idx[order[:len(bpiv)]]), np.vstack([red, bred])
+        idx = idx[len(x):]
+    at = np.argsort(piv)
+    return [piv[i] for i in at], sel[at], red[at]
+
+
+def _reconstruct(res: np.ndarray, m: int, piv: list[int], ambient: int) -> "ScaledRref | None":
+    """The rational rows that the reduced echelon rows res hold modulo m,
+    or None if an entry is no fraction within Wang's bound.  A row's
+    denominator is built from a few scalar reconstructions, each of an
+    entry still large after scaling by the factors so far.  Zeros and
+    pivot ones lift to zeros and the denominator: the form is kept."""
+    bound = math.isqrt((m - 1) // 2)
+    # int64 holds every product below while m is a single prime.
+    dens = np.ones(len(piv), dtype=np.int64 if m < 2**31 else object)
+    while True:
+        y = res * dens[:, None] % m
+        y = np.where(y > m // 2, y - m, y)
+        big = np.abs(y) > bound
+        todo = np.flatnonzero(big.any(axis=1))
+        if not todo.size:
+            break
+        for i in todo.tolist():
+            # Wang: the fraction r1 / t1 = u mod m with |r1|, |t1| <= bound
+            # comes from extended Euclid stopped at the first r1 <= bound.
+            r0, r1, t0, t1 = m, int(y[i, big[i].argmax()]) % m, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            if abs(dens[i] * t1) > bound or math.gcd(r1, t1) != 1:
+                return None
+            dens[i] *= abs(t1)
+    g = np.gcd.reduce(y, axis=1) if len(piv) else dens
+    e = ScaledRref(ambient)
+    e.pivots, e.nums, e.dens = list(piv), list(_as_object(y // g[:, None])), (dens // g).tolist()
+    return e
+
+
+def _certified_rref(rows: np.ndarray, ambient: int) -> "ScaledRref":
+    """The canonical reduced echelon basis of the span of nonzero integer
+    rows.  A base prime gives their rank r mod p and r rows carrying it;
+    the next primes reduce only those.  A candidate, r rows in reduced
+    echelon form, is adopted only if every input row has zero residual
+    against it by an exact product: as r <= rank over Q, the spans agree."""
+    base = None
+    for p in PRIMES:
+        if base is None:
+            piv, sel, acc = _echelon_mod(_residues(rows, p), p)
+            base, m = rows[sel], p
+        else:
+            x = _residues(base, p)
+            ppiv, _ = _eliminate(x, p)
+            if ppiv == piv:
+                t = (x[:len(piv)] - _residues(acc, p)) * pow(m, -1, p) % p  # CRT
+                acc, m = acc + t.astype(object) * m, m * p
+            elif len(ppiv) == len(piv) and ppiv < piv:
+                piv, acc, m = ppiv, x[:len(piv)], p  # earlier pivots: the old primes were unlucky
+            else:
+                continue
+        cand = _reconstruct(acc, m, piv, ambient)
+        if cand is not None:
+            bad = cand.residuals(rows).any(axis=1)
+            if not bad.any():
+                return cand
+            if not bad[sel].any():
+                base = None  # r fell short of the rank: the base prime was unlucky
+    raise ValueError(f"row reduction needs more than the {len(PRIMES)} residue primes")
 
 
 class ScaledRref:
@@ -155,7 +273,8 @@ class ScaledRref:
     Because stored rows are fully reduced against each other, reducing
     a vector is a single linear combination rather than an elimination
     cascade, so entry sizes track the canonical basis itself and bulk
-    membership tests batch into one integer matrix product.
+    membership tests batch into one integer matrix product.  The row
+    lists are replaced, never changed, so a shallow copy is a snapshot.
     """
 
     def __init__(self, ambient: int):
@@ -163,7 +282,6 @@ class ScaledRref:
         self.pivots: list[int] = []
         self.nums: list[np.ndarray] = []
         self.dens: list[int] = []
-        self._maxes: list[int] = []
         self._cache: tuple | None = None
 
     @property
@@ -180,18 +298,12 @@ class ScaledRref:
         """(pivot columns, common-denominator numerators, denominator,
         max entry, int64 copy of the numerators when they fit)."""
         if self._cache is None:
-            d = 1
-            for q in self.dens:
-                d = d * q // math.gcd(d, q)
+            d = math.lcm(1, *self.dens)
+            rnum = np.zeros((0, self.ambient), dtype=object)
             if self.nums:
-                rnum = np.stack([
-                    num if den == d else num * (d // den)
-                    for num, den in zip(self.nums, self.dens)
-                ])
-                rmax = max(m * (d // den) for m, den in zip(self._maxes, self.dens))
-            else:
-                rnum = np.zeros((0, self.ambient), dtype=object)
-                rmax = 0
+                rnum = np.stack([num if den == d else num * (d // den)
+                                 for num, den in zip(self.nums, self.dens)])
+            rmax = max_abs(rnum)
             rnum64 = rnum.astype(np.int64) if rmax < _INT64_SAFE else None
             self._cache = (np.array(self.pivots, dtype=np.intp), rnum, d, rmax, rnum64)
         return self._cache
@@ -201,7 +313,7 @@ class ScaledRref:
 
         A row of mat lies in the span iff its residual row is zero; the
         scaling by the common denominator d keeps everything integral.
-        The accelerated path returns a raw int64 array, so callers must
+        The accelerated paths return a raw int64 array, so callers must
         box entries before unbounded arithmetic.
         """
         if mat.shape[0] == 0 or not self.pivots:
@@ -212,70 +324,38 @@ class ScaledRref:
         k = len(self.pivots)
         if mat_max and rnum64 is not None and (d + k * rmax) * mat_max < _INT64_SAFE:
             m64 = _as_int64(mat)
-            return d * m64 - m64[:, piv] @ rnum64
+            out = _int64_matmul(m64[:, piv], rnum64, k * rmax * mat_max)
+            return np.subtract(d * m64, out, out=out)
         mo = _as_object(mat)
         return d * mo - mo[:, piv] @ rnum
 
     def insert(self, v: np.ndarray) -> bool:
         """Add v to the span; returns True if the dimension grew."""
-        r = self.residuals(np.asarray(v, dtype=object).reshape(1, -1))[0]
-        p = next((idx for idx, x in enumerate(r) if x), None)
-        if p is None:
-            return False
-        r = r.astype(object, copy=True)
-        g = _content(r)
-        if r[p] < 0:
-            g = -g
-        if g != 1:
-            r = r // g
-        den = int(r[p])
-        # Knock the new pivot column out of every stored row.  Stored
-        # rows vanish at each other's pivots, so each update is one
-        # combination and the result is renormalized immediately.
-        for idx, (num, d0) in enumerate(zip(self.nums, self.dens)):
-            c = num[p]
-            if c:
-                tmp = num * den - r * int(c)
-                dt = d0 * den
-                g2 = math.gcd(_content(tmp), dt)
-                if g2 != 1:
-                    tmp = tmp // g2
-                self.nums[idx] = tmp
-                self.dens[idx] = dt // g2
-                self._maxes[idx] = max_abs(tmp)
-        at = int(np.searchsorted(np.array(self.pivots), p)) if self.pivots else 0
-        self.pivots.insert(at, p)
-        self.nums.insert(at, r)
-        self.dens.insert(at, den)
-        self._maxes.insert(at, max_abs(r))
-        self._cache = None
-        return True
+        return self.insert_rows(np.asarray(v, dtype=object).reshape(1, -1)) > 0
 
-    def insert_rows(self, mat: np.ndarray, chunk: int = 256) -> int:
-        """Add every row of mat; returns the dimension growth.
-
-        Rows already inside the span are filtered out a chunk at a time
-        with one batched residual product; each surviving row is then
-        inserted individually against the refreshed span, so rows whose
-        stale residual was zero are always still members.
-        """
-        added = 0
-        for lo in range(0, mat.shape[0], chunk):
-            block = mat[lo:lo + chunk]
-            res = self.residuals(block)
-            for r in range(block.shape[0]):
-                if res[r].any() and self.insert(block[r]):
-                    added += 1
+    def insert_rows(self, mat: np.ndarray) -> int:
+        """Add every row of mat; returns the dimension growth.  Residual
+        rows vanish at the stored pivots, so their canonical basis has new
+        pivots only, cleared from the stored rows by one exact product."""
+        res = self.residuals(mat)
+        res = res[res.any(axis=1)]
+        if not res.shape[0]:
+            return 0
+        new = _certified_rref(res, self.ambient)
+        if self.pivots:
+            _, snum, sd, smax, _ = new._scaled()
+            old = np.stack(self.nums)
+            old = old * sd - exact_matmul(old[:, new.pivots], snum, b_max=smax)
+            g = np.gcd.reduce(old, axis=1)  # includes the pivot entry, den * sd
+            pivots, nums = self.pivots + new.pivots, list(old // g[:, None]) + new.nums
+            dens = (np.array(self.dens, dtype=object) * sd // g).tolist() + new.dens
+            at = np.argsort(pivots)
+            new.pivots = [pivots[i] for i in at]
+            new.nums, new.dens = [nums[i] for i in at], [dens[i] for i in at]
+            new._cache = None
+        added = new.dim - self.dim
+        self.pivots, self.nums, self.dens, self._cache = new.pivots, new.nums, new.dens, new._cache
         return added
-
-    def snapshot(self) -> "ScaledRref":
-        s = ScaledRref(self.ambient)
-        s.pivots = list(self.pivots)
-        s.nums = list(self.nums)  # row arrays are replaced, never mutated
-        s.dens = list(self.dens)
-        s._maxes = list(self._maxes)
-        s._cache = self._cache
-        return s
 
     def basis_matrix(self) -> np.ndarray:
         """Integer rows spanning the space (canonical rows rescaled)."""

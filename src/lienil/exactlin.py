@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import _intkernel as ik
 
 Vector = tuple[Fraction, ...]
@@ -151,18 +153,15 @@ class Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Right null space {v : m @ v = 0} as a canonical subspace."""
-    red = rref(m)
-    piv = [next(j for j, x in enumerate(row) if x != 0) for row in red.entries]
-    free = [j for j in range(m.cols) if j not in piv]
-    vecs = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for row, p in zip(red.entries, piv):
-            v[p] = -row[f]
-        vecs.append(v)
-    return Subspace.from_vectors(vecs, m.cols) if vecs else Subspace.zero(m.cols)
+    """Right null space {v : m @ v = 0} as a canonical subspace: with
+    rref(m) = rnum / d, free column f gives the vector that reads d at
+    f and -rnum[r, f] at the pivot of row r."""
+    piv, rnum, d, _, _ = ik.rref_from_rows(ik.scaled_int(m)[0], m.cols)._scaled()
+    free = np.setdiff1d(np.arange(m.cols), piv)
+    vecs = np.zeros((free.size, m.cols), dtype=object)
+    vecs[np.arange(free.size), free] = d
+    vecs[:, piv] = -rnum[:, free].T
+    return ik.rref_from_rows(vecs, m.cols).to_subspace()
 
 
 def inverse(m: Matrix) -> Matrix:

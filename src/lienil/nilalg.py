@@ -24,6 +24,7 @@ one per basis vector:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -91,7 +92,7 @@ class NilpotentAlgebra:
         denom / g.
         """
         n = w.shape[0]
-        g = math.gcd(denom, ik._content(w.ravel())) if denom > 1 else 1
+        g = math.gcd(denom, int(np.gcd.reduce(w.ravel()))) if denom > 1 else 1
         if g != 1:
             w = w // g
         tmax = ik.max_abs(w)
@@ -287,11 +288,11 @@ def _generator_series(a: NilpotentAlgebra) -> Filtration | None:
     tail_rrefs: list[ik.ScaledRref] = []
     tail_subspaces: list[Subspace] = []
     for idx in range(len(levels) - 1, 0, -1):  # levels[idx] is M_{idx+1}
-        tail_rrefs.append(acc.snapshot())
+        tail_rrefs.append(copy.copy(acc))  # insert_rows replaces acc's row lists
         if acc.insert_rows(levels[idx]) == 0:
             return None  # a level adds nothing: certification impossible
         tail_subspaces.append(acc.to_subspace())
-    tail_rrefs.append(acc.snapshot())
+    tail_rrefs.append(copy.copy(acc))
     tail_rrefs.reverse()  # tail_rrefs[i] = F_{i+2}
     tail_subspaces.reverse()  # tail_subspaces[0] = F_2 as subspace
 

@@ -1,10 +1,13 @@
-"""Fraction Gauss-Jordan elimination: the oracle that the integer
-row-reduction engine behind lienil.exactlin is tested against.
+"""Oracles that lienil's exact linear algebra is tested against.
 
-Nothing here shares code with lienil's elimination: rows are reduced
-column by column in Fraction arithmetic, the textbook way.
+Fraction Gauss-Jordan elimination: rows are reduced column by column in
+Fraction arithmetic, the textbook way.  RowByRowRref: the scaled-integer
+echelon form built one row at a time with Python-int arithmetic, the
+engine that lienil._intkernel.ScaledRref replaced by modular reduction.
+Nothing here shares code with lienil's elimination.
 """
 
+import math
 from fractions import Fraction
 
 from lienil.exactlin import Matrix, Subspace
@@ -87,3 +90,56 @@ def change_basis(a, m: Matrix) -> dict:
             if terms:
                 out[(i, j)] = terms
     return out
+
+
+def _content(row) -> int:
+    g = 0
+    for x in row:
+        g = math.gcd(g, int(x))
+    return g
+
+
+class RowByRowRref:
+    """Canonical reduced echelon rows nums[r] / dens[r] (lists of Python
+    ints), built by inserting one row at a time: each row reads dens[r]
+    at its own pivot and 0 at every other pivot, and
+    gcd(content, den) = 1."""
+
+    def __init__(self, ambient: int):
+        self.ambient = ambient
+        self.pivots: list[int] = []
+        self.nums: list[list[int]] = []
+        self.dens: list[int] = []
+
+    def insert(self, v) -> bool:
+        """Add v to the span; returns True if the dimension grew."""
+        # Common-denominator residual d * (v - projection of v).
+        d = math.lcm(1, *self.dens)
+        r = [d * int(x) for x in v]
+        for p, num, den in zip(self.pivots, self.nums, self.dens):
+            c = int(v[p])
+            if c:
+                r = [x - c * (d // den) * y for x, y in zip(r, num)]
+        p = next((i for i, x in enumerate(r) if x), None)
+        if p is None:
+            return False
+        g = _content(r) * (1 if r[p] > 0 else -1)
+        r = [x // g for x in r]
+        den = r[p]
+        # Knock the new pivot column out of every stored row.
+        for i, (num, d0) in enumerate(zip(self.nums, self.dens)):
+            c = num[p]
+            if c:
+                tmp = [x * den - y * c for x, y in zip(num, r)]
+                g2 = math.gcd(_content(tmp), d0 * den)
+                self.nums[i] = [x // g2 for x in tmp]
+                self.dens[i] = d0 * den // g2
+        at = sum(q < p for q in self.pivots)
+        self.pivots.insert(at, p)
+        self.nums.insert(at, r)
+        self.dens.insert(at, den)
+        return True
+
+    def insert_rows(self, rows) -> int:
+        """Insert each row in turn; returns the dimension growth."""
+        return sum(self.insert(r) for r in rows)

@@ -1,0 +1,227 @@
+"""Differential tests of the integer kernels in lienil._intkernel.
+
+ScaledRref's modular echelon form is checked against the row-by-row
+scaled-integer engine it replaced (fraction_linalg.RowByRowRref), and
+the float64 routes of exact_matmul and ScaledRref.residuals against
+object-dtype products.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fraction_linalg import RowByRowRref
+from lienil import _intkernel as ik
+
+P0, P1 = ik.PRIMES[0], ik.PRIMES[1]
+
+entries = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([P0, -P0, 2 * P0, P0 * P1]),
+)
+
+
+@st.composite
+def row_blocks(draw, cols):
+    """An r x cols block of rank at most k (a product of r x k and
+    k x cols integer matrices): empty, zero, rank-deficient and
+    full-rank blocks all occur."""
+    r = draw(st.integers(0, 7))
+    k = draw(st.integers(0, min(r, cols)))
+    a = [[draw(entries) for _ in range(k)] for _ in range(r)]
+    b = [[draw(entries) for _ in range(cols)] for _ in range(k)]
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)] for i in range(r)]
+
+
+@st.composite
+def span_and_rows(draw):
+    cols = draw(st.integers(1, 6))
+    return cols, draw(row_blocks(cols)), draw(row_blocks(cols))
+
+
+def as_array(rows, cols):
+    return np.array(rows, dtype=object).reshape(len(rows), cols)
+
+
+def assert_same_state(e: ik.ScaledRref, o: RowByRowRref):
+    assert e.pivots == o.pivots
+    assert [[int(x) for x in num] for num in e.nums] == o.nums
+    assert [int(d) for d in e.dens] == o.dens
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_and_rows())
+@example((2, [], [[1, 0], [0, P0]]))  # rank mod PRIMES[0] is below rank over Q
+@example((2, [[1, 0]], [[0, P0]]))
+@example((2, [], [[P0, 1]]))  # full rank mod PRIMES[0], but a later pivot
+@example((3, [[P0, 2 * P0, 0]], [[0, P0 * P1, P0]]))  # zero mod PRIMES[0]
+@example((3, [[1, 2, 3]], [[0, 0, 0], [2, 4, 6]]))  # nothing new
+def test_insert_rows_matches_row_by_row(case):
+    cols, old, new = case
+    e, o = ik.ScaledRref(cols), RowByRowRref(cols)
+    assert e.insert_rows(as_array(old, cols)) == o.insert_rows(old)
+    assert_same_state(e, o)
+    assert e.insert_rows(as_array(new, cols)) == o.insert_rows(new)
+    assert_same_state(e, o)
+    if new:
+        assert e.insert(np.array(new[0], dtype=object)) is False
+
+
+@settings(max_examples=100, deadline=None)
+@given(span_and_rows())
+def test_rref_from_rows_matches_row_by_row(case):
+    cols, old, new = case
+    rows = old + new
+    o = RowByRowRref(cols)
+    o.insert_rows(rows)
+    assert_same_state(ik.rref_from_rows(as_array(rows, cols), cols), o)
+    # int64 input takes the same path as object input.
+    if all(abs(x) < 2**62 for row in rows for x in row):
+        rows64 = np.array(rows, dtype=np.int64).reshape(-1, cols)
+        assert_same_state(ik.rref_from_rows(rows64, cols), o)
+
+
+@st.composite
+def square_and_scale(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    a = [[draw(entries) for _ in range(k)] for _ in range(n)]
+    b = [[draw(entries) for _ in range(n)] for _ in range(k)]
+    full = draw(st.booleans())
+    if full:  # add a diagonal so the product is usually invertible
+        m = [[sum(a[i][t] * b[t][j] for t in range(k)) + (i == j) * draw(entries)
+              for j in range(n)] for i in range(n)]
+    else:
+        m = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(n)]
+    return m, draw(st.sampled_from([1, 3, P0, 2**70]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_and_scale())
+@example(([[1, 0], [0, P0]], 1))
+@example(([[P0, 1], [1, 0]], P0))
+def test_scaled_inverse_matches_row_by_row(case):
+    m, s = case
+    n = len(m)
+    o = RowByRowRref(2 * n)
+    o.insert_rows([row + [s * (i == j) for j in range(n)] for i, row in enumerate(m)])
+    if o.pivots != list(range(n)):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            ik.scaled_inverse(as_array(m, n), s)
+        return
+    d = math.lcm(*o.dens)
+    want = [[x * (d // den) for x in num[n:]] for num, den in zip(o.nums, o.dens)]
+    v, got_d = ik.scaled_inverse(as_array(m, n), s)
+    assert got_d == d
+    assert v.tolist() == want
+
+
+def test_unlucky_first_prime_is_rejected_and_the_next_recovers(monkeypatch):
+    # Modulo PRIMES[0] the rows (1, 0) and (0, PRIMES[0]) have rank 1, so
+    # the first candidate, the single row (1, 0), fails the certificate:
+    # (0, PRIMES[0]) has a nonzero residual against it.
+    primes = []
+    echelon = ik._echelon_mod
+
+    def spy(a, p):
+        primes.append(p)
+        return echelon(a, p)
+
+    monkeypatch.setattr(ik, "_echelon_mod", spy)
+    e = ik.ScaledRref(2)
+    assert e.insert_rows(as_array([[1, 0], [0, P0]], 2)) == 2
+    assert (e.pivots, e.dens) == ([0, 1], [1, 1])
+    assert [list(num) for num in e.nums] == [[1, 0], [0, 1]]
+    assert primes == [P0, P1]
+
+
+def test_running_out_of_primes_raises(monkeypatch):
+    monkeypatch.setattr(ik, "PRIMES", (P0,))
+    e = ik.ScaledRref(2)
+    with pytest.raises(ValueError, match="residue primes"):
+        e.insert_rows(as_array([[1, 0], [0, P0]], 2))
+    assert e.dim == 0
+
+
+# ------------------------------------------------------ float64 routes
+
+
+class CastSpy(np.ndarray):
+    """int64 array that records the dtypes it is converted to."""
+
+    casts: list = []
+
+    def astype(self, dtype, *args, **kwargs):
+        CastSpy.casts.append(np.dtype(dtype))
+        return super().astype(dtype, *args, **kwargs)
+
+
+def took_float_route(fn):
+    CastSpy.casts = []
+    out = fn()
+    return out, np.dtype(np.float64) in CastSpy.casts
+
+
+thresholds = st.sampled_from([53, 62])
+offsets = st.sampled_from([-3, -1, 1, 5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(thresholds, offsets, st.integers(1, 4), st.integers(1, 30), st.data())
+def test_exact_matmul_routes_by_bound(bits, offset, inner, a_bits, data):
+    # Every entry sits at its maximum, with random signs, so dot products
+    # reach inner * a_max * b_max, just below or above 2^bits.
+    a_max = 2**a_bits + data.draw(st.integers(0, 7))
+    b_max = (2**bits + offset * inner * a_max) // (inner * a_max)
+    bound = inner * a_max * b_max
+    signs = st.lists(st.sampled_from([-1, 1]), min_size=inner, max_size=inner)
+    a = np.array([data.draw(signs) for _ in range(2)], dtype=object) * a_max
+    b = np.array([data.draw(signs) for _ in range(3)], dtype=object).T * b_max
+    a[0, :] = a_max  # one dot product at the bound itself
+    b[:, 0] = b_max
+    want = a @ b
+    if bound < 2**62:
+        a64, b64 = a.astype(np.int64).view(CastSpy), b.astype(np.int64)
+        got, used_float = took_float_route(lambda: ik.exact_matmul(a64, b64, box=False))
+        assert used_float == (bound < 2**53)
+        assert got.dtype == np.int64
+    else:
+        got = ik.exact_matmul(a, b)
+        assert got.dtype == object
+    assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(thresholds, offsets, st.integers(1, 40), st.data())
+def test_residuals_route_by_bound(bits, offset, x_bits, data):
+    # One stored row (1, x): the residual of (u, v) is (0, v - u * x),
+    # and the product's bound is rmax * mat_max = x * mat_max.
+    x = 2**x_bits + data.draw(st.integers(0, 7))
+    mat_max = max(1, (2**bits + offset * x) // x)
+    e = ik.rref_from_rows(np.array([[1, x]], dtype=object), 2)
+    u = data.draw(st.lists(st.sampled_from([-mat_max, mat_max]), min_size=3, max_size=3))
+    v = data.draw(st.lists(st.integers(-mat_max, mat_max), min_size=3, max_size=3))
+    mat = np.array([u, v], dtype=object).T
+    want = [[0, b - a * x] for a, b in zip(u, v)]
+    if (1 + x) * mat_max < 2**62:
+        got, used_float = took_float_route(
+            lambda: e.residuals(mat.astype(np.int64).view(CastSpy)))
+        assert used_float == (x * mat_max < 2**53)
+    else:
+        got = e.residuals(mat)
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("inner", [1, 2047, 2048, 2049, 5000])
+def test_mod_matmul_matches_object_product(inner):
+    # Past 2048 the residue product no longer fits float64 and runs on int64.
+    p = P0
+    rng = np.random.default_rng(inner)
+    a = p - 1 - rng.integers(0, 3, size=(2, inner))
+    b = p - 1 - rng.integers(0, 3, size=(inner, 3))
+    want = (a.astype(object) @ b.astype(object)) % p
+    assert ik._mod_matmul(a, b, p).tolist() == want.tolist()
