@@ -3,9 +3,12 @@
 recover its simple type from the structure constants alone.
 
 Shows the whole pipeline: build, obfuscate, Jacobi check, lower
-central series, identify, with timings and the number of residue primes
-the Jacobi check used.  The series is timed on its own and handed to
-identify, so the identify time is the rest of identification.
+central series, associated graded, identify, with timings per stage and
+the number of residue primes the Jacobi check used.  The series and the
+graded algebra are timed on their own, and identify is handed the
+graded algebra, so the identify time is the rest of identification.
+
+    PYTHONPATH=src python scripts/round_trip_demo.py E8 --seed 101
 """
 
 import argparse
@@ -16,7 +19,7 @@ import numpy as np
 from lienil.chevalley import jacobi_primes, nilradical, verify_jacobi
 from lienil.exactlin import random_unimodular
 from lienil.fingerprint import identify
-from lienil.nilalg import change_basis, lower_central_series
+from lienil.nilalg import change_basis, graded, lower_central_series
 from lienil.rootsys import SimpleType, build_root_system
 
 
@@ -36,8 +39,10 @@ def main() -> None:
     t3 = time.perf_counter()
     series = lower_central_series(scrambled)
     t4 = time.perf_counter()
-    ident = identify(scrambled, filtration=series)
+    g = graded(scrambled, series)
     t5 = time.perf_counter()
+    ident = identify(g)
+    t6 = time.perf_counter()
 
     # Counted on the integer tensor: the Fraction table is never built.
     entries = np.count_nonzero(scrambled.int_tensor()[0]) // 2
@@ -46,9 +51,10 @@ def main() -> None:
     print(f"Jacobi {'holds' if report.ok else 'FAILS'} on {report.triples_checked} triples, "
           f"{len(jacobi_primes(scrambled))} residue primes ({t3 - t2:.3f}s)")
     print(f"lower central series: dims {series.dims} ({t4 - t3:.3f}s)")
+    print(f"graded: dims {g.dims} ({t5 - t4:.3f}s)")
     print(f"identified: {ident.canonical}"
           + (f" (aliases: {', '.join(map(str, ident.aliases))})" if ident.aliases else "")
-          + f" ({t5 - t4:.3f}s)")
+          + f" ({t6 - t5:.3f}s)")
     assert ident == identify(a), "round trip disagrees with the canonical answer"
     print("matches the canonical identification")
 

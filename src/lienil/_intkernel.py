@@ -273,8 +273,7 @@ class ScaledRref:
     Because stored rows are fully reduced against each other, reducing
     a vector is a single linear combination rather than an elimination
     cascade, so entry sizes track the canonical basis itself and bulk
-    membership tests batch into one integer matrix product.  The row
-    lists are replaced, never changed, so a shallow copy is a snapshot.
+    membership tests batch into one integer matrix product.
     """
 
     def __init__(self, ambient: int):
@@ -283,6 +282,18 @@ class ScaledRref:
         self.nums: list[np.ndarray] = []
         self.dens: list[int] = []
         self._cache: tuple | None = None
+
+    @staticmethod
+    def full(ambient: int) -> "ScaledRref":
+        e = ScaledRref(ambient)
+        e.pivots, e.nums, e.dens = list(range(ambient)), list(np.eye(ambient, dtype=object)), [1] * ambient
+        return e
+
+    def __eq__(self, other) -> bool:
+        """Equal row spaces: the reduced echelon form is canonical."""
+        return (isinstance(other, ScaledRref) and self.ambient == other.ambient
+                and self.pivots == other.pivots and self.dens == other.dens
+                and all(np.array_equal(x, y) for x, y in zip(self.nums, other.nums)))
 
     @property
     def dim(self) -> int:

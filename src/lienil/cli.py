@@ -53,6 +53,7 @@ from .rootsys import (
 
 FORMAT_VERSION = 1
 ENV_MAX_RANK = "LIENIL_MAX_RANK"
+MAX_TENSOR_BYTES = 2**30  # the dense dim^3 structure tensor: dim <= 512
 
 
 class CliError(Exception):
@@ -217,13 +218,16 @@ def _largest_nilradical_dim(bound: int) -> int:
 
 def _load_within_bound(path: str, bound: int) -> NilpotentAlgebra:
     """Load a file whose dim is at most the largest nilradical dimension
-    within the rank bound; the check runs before any dense structure
-    tensor is allocated."""
+    within the rank bound and whose dim^3 tensor of 8-byte entries fits
+    in MAX_TENSOR_BYTES; both checks run before it is allocated."""
     a = _load_or_die(path)
     largest = _largest_nilradical_dim(bound)
     if a.dim > largest:
         raise CliError(2, f"dim {a.dim} exceeds {largest}, the largest nilradical of "
                           f"rank at most {bound} (set {ENV_MAX_RANK} to raise the bound)")
+    if a.dim ** 3 * 8 > MAX_TENSOR_BYTES:
+        raise CliError(2, f"dim {a.dim} needs a dense structure tensor of {a.dim ** 3 * 8} "
+                          f"bytes, above the limit of {MAX_TENSOR_BYTES}")
     return a
 
 
@@ -278,16 +282,16 @@ def cmd_invariants(args) -> int:
     t = _parse_type(args.family, args.rank, bound)
     rs = build_root_system(t)
     a = nilradical(rs)
-    f = lower_central_series(a)
-    fp = fingerprint(a, f)
-    ident = identify(a, max_rank=bound, filtration=f)
+    g = graded(a)
+    fp = fingerprint(g)
+    ident = identify(g, max_rank=bound)
     print(_json({
         "type": str(t),
         "nilradical_dim": a.dim,
         "rank": fp.rank,
         "simple_dim": fp.simple_dim,
         "nilpotency_class": fp.nilpotency_class,
-        "lcs_dims": list(f.dims),
+        "lcs_dims": list(g.filtration.dims),
         "graded_dims": list(fp.graded_dims),
         "degree_histogram": degree_histogram(rs),
         "identification": {
@@ -330,13 +334,13 @@ def cmd_identify(args) -> int:
         raise CliError(2, f"Jacobi identity fails on {len(report.violations)} "
                           f"basis triples (first: {first})")
     try:
-        f = lower_central_series(a)
-        fp = fingerprint(a, f)
-        ident = identify(a, max_rank=bound, filtration=f)
+        g = graded(a)
+        ident = identify(g, max_rank=bound)
     except NotNilpotentError as exc:
         raise CliError(1, f"not nilpotent: {exc}") from None
     except UnrecognizedAlgebraError as exc:
         raise CliError(1, f"unrecognized: {exc}") from None
+    fp = fingerprint(g)
     if ident.canonical.family in ("B", "C") and ident.canonical.rank >= 3:
         fp = replace(fp, bc_family=ident.canonical.family)
     print(_json({

@@ -75,18 +75,28 @@ class Identification:
     aliases: tuple[SimpleType, ...]
 
 
-def fingerprint(a: NilpotentAlgebra, filtration: Filtration | None = None) -> Fingerprint:
-    """Invariants of a: rank, dimensions, graded dimension sequence."""
-    f = filtration if filtration is not None else lower_central_series(a)
-    g = graded(a, f)
+def _graded_of(a: NilpotentAlgebra | GradedAlgebra,
+               filtration: Filtration | None) -> GradedAlgebra:
+    """a's graded algebra: a itself when it is one, so a caller can build it once."""
+    if isinstance(a, GradedAlgebra):
+        return a
+    return graded(a, filtration if filtration is not None else lower_central_series(a))
+
+
+def fingerprint(a: NilpotentAlgebra | GradedAlgebra,
+                filtration: Filtration | None = None) -> Fingerprint:
+    """Invariants of a: rank, dimensions, graded dimension sequence.
+    a may be the algebra or its graded algebra (see _graded_of)."""
+    g = _graded_of(a, filtration)
     dims = g.dims
     rank = dims[0]
+    n = g.algebra.dim
     return Fingerprint(
         rank=rank,
-        nil_dim=a.dim,
-        simple_dim=2 * a.dim + rank,
+        nil_dim=n,
+        simple_dim=2 * n + rank,
         graded_dims=dims,
-        nilpotency_class=f.nilpotency_class,
+        nilpotency_class=g.filtration.nilpotency_class,
     )
 
 
@@ -134,7 +144,7 @@ def bc_discriminator(a: NilpotentAlgebra, n: int, g: GradedAlgebra | None = None
         raise ValueError("B/C discrimination needs rank at least 3")
     if g is None:
         g = graded(a)
-    if g.piece(2 * n - 3).rows != 2 or g.piece(2 * n - 1).rows != 1:
+    if g.dims[2 * n - 4:2 * n - 1:2] != (2, 1):  # dim gr^{2n-3}, dim gr^{2n-1}
         raise ValueError("graded dimensions do not match a B/C nilradical")
     p = graded_pairing(g, 2, 2 * n - 3)
     return "B" if right_kernel(p).dim == 0 else "C"
@@ -151,18 +161,18 @@ def _aliases(canonical: SimpleType) -> tuple[SimpleType, ...]:
 
 
 def identify(
-    a: NilpotentAlgebra,
+    a: NilpotentAlgebra | GradedAlgebra,
     max_rank: int = DEFAULT_MAX_RANK,
     filtration: Filtration | None = None,
 ) -> Identification:
     """Name the simple type whose nilradical a presents.
 
-    Raises UnrecognizedAlgebraError when no type of rank <= max_rank
-    matches, and NotNilpotentError when a is not nilpotent at all.
+    a may be the algebra or its graded algebra (see _graded_of).  Raises
+    UnrecognizedAlgebraError when no type of rank <= max_rank matches,
+    and NotNilpotentError when a is not nilpotent at all.
     """
-    f = filtration if filtration is not None else lower_central_series(a)
-    g = graded(a, f)
-    fp = fingerprint(a, f)
+    g = _graded_of(a, filtration)
+    fp = fingerprint(g)
     if fp.rank > max_rank:
         raise UnrecognizedAlgebraError(
             f"rank {fp.rank} exceeds the identification bound {max_rank}"
@@ -192,7 +202,7 @@ def identify(
             canonical = SimpleType("B", 2)
         else:
             try:
-                canonical = SimpleType(bc_discriminator(a, n, g), n)
+                canonical = SimpleType(bc_discriminator(g.algebra, n, g), n)
             except ValueError as exc:
                 raise UnrecognizedAlgebraError(str(exc)) from None
 

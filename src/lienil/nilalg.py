@@ -5,28 +5,31 @@ roots.  Structure constants are held as one antisymmetric integer
 tensor over a common denominator; the sparse rational table for pairs
 i < j is a view of it for I/O.
 
-The lower central series is computed through a generator-level series
-that is then certified against the definition, which keeps the cost on
-dense inputs near one matrix product per filtration level instead of
-one per basis vector:
+The lower central series takes one product and one row reduction per
+term, and is certified against the definition:
 
-* N^2 is the row space of the given constant table.
-* G lifts a basis of N / N^2 (standard basis vectors at non-pivot
-  coordinates), and M_1 = span G, M_{i+1} = [M_i, G].
-* In any Lie algebra N^i = M_i + N^{i+1}, so for nilpotent N the
-  accumulated tails F_i = M_i + M_{i+1} + ... equal the series exactly.
-* The result is certified by checking F_2 = N^2 and [u, e_j] in F_{l+1}
-  for every level-l basis vector u and every j.  Both checks pass iff
-  F is the true lower central series, so a failure (or a level that
-  stalls, or survives past the dimension bound) proves the algebra is
-  not nilpotent and raises NotNilpotentError.
+* F_2, the row space of the constant table, is N^2; G, the standard
+  basis vectors at its non-pivot coordinates, spans a complement.
+* F_{l+1} = [F_l, G], so F_l <= N^l for any antisymmetric table, and
+  F_l = N^l in a nilpotent Lie algebra (de Graaf, Lie Algebras: Theory
+  and Algorithms, 2000).
+* Assuming no Jacobi identity, it checks for l >= 2 that F_{l+1} <= F_l
+  and [P_l, e_j] in F_{l+1} for every j, P_l the rows of F_l's canonical
+  basis at pivots F_{l+1} lacks.  As F_l = span P_l + F_{l+1}, induction
+  from the zero term gives [F_l, N] <= F_{l+1}, hence N^l <= F_l = N^l.
+  A failed check falls back to the definition.
+* A term that repeats, or one nonzero after n + 1 terms, proves that no
+  N^l vanishes (F_l <= N^l), and raises NotNilpotentError.
+
+Terms and graded pieces stay integer rows; their Subspace and Matrix
+forms are views built on first read.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -208,112 +211,61 @@ def bracket(a: NilpotentAlgebra, x, y) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class Filtration:
-    """Descending chain terms[0] = whole space, ..., terms[-1] = 0."""
+    """Descending chain rrefs[0] = whole space, ..., rrefs[-1] = 0 in
+    canonical integer form; ``terms`` is its rational view."""
 
-    terms: tuple[Subspace, ...]
+    rrefs: tuple[ik.ScaledRref, ...]
 
     @property
     def nilpotency_class(self) -> int:
-        return len(self.terms) - 1
+        return len(self.rrefs) - 1
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(t.dim for t in self.terms)
+        return tuple(r.dim for r in self.rrefs)
+
+    @cached_property
+    def terms(self) -> tuple[Subspace, ...]:
+        return tuple(r.to_subspace() for r in self.rrefs)
 
 
 def lower_central_series(a: NilpotentAlgebra) -> Filtration:
     """Canonical subspaces N = N^1 >= N^2 = [N, N] >= N^3 = [N^2, N] ...
 
     terms[i] is N^{i+1}; the last term is zero.  Raises
-    NotNilpotentError when the series does not reach zero.
-
-    A fast generator-level series is tried first and certified; when
-    any certificate fails (possible for antisymmetric tables that are
-    not Lie algebras) the definitional iteration decides instead, so
-    the answer is exact for every input.
+    NotNilpotentError when the series does not reach zero.  The
+    certified direct series runs first (see the module docstring); the
+    definitional iteration decides when its certificate fails.
     """
-    fast = _generator_series(a)
-    if fast is not None:
-        return fast
-    return _definitional_series(a)
+    return _direct_series(a) or _definitional_series(a)
 
 
-def _generator_series(a: NilpotentAlgebra) -> Filtration | None:
+def _direct_series(a: NilpotentAlgebra) -> Filtration | None:
     """Certified fast path; None means fall back to the definition."""
     n = a.dim
     t, _, tmax = a.int_tensor()
-    tflat = t.reshape(n, n * n)
+    tflat, tflat64 = t.reshape(n, n * n), _flat_tensor64(a)
+    t3 = t if tflat64 is None else tflat64.reshape(n, n, n)  # int64 rows reduce faster
 
-    # N^2 straight from the constant rows.
-    e2 = ik.ScaledRref(n)
+    f2 = ik.ScaledRref(n)
     i, j = a.bracket_pairs()
     if i.size:
-        e2.insert_rows(t[i, j])
-    if e2.dim == n:
+        f2.insert_rows(t3[i, j])
+    if f2.dim == n:
         raise NotNilpotentError("derived subalgebra is the whole algebra")
 
-    gen_idx = sorted(set(range(n)) - set(e2.pivots))
-    # t_gen[b, g*n + c] = t[b, gen_idx[g], c], so u @ t_gen reshaped to
+    # t_gen[b, g*n + c] = t[b, gen[g], c], so u @ t_gen reshaped to
     # (rows * gens, n) lists the brackets [row, generator] batchwise.
-    t_gen = t[:, gen_idx, :].reshape(n, len(gen_idx) * n)
-    tflat64 = _flat_tensor64(a)
-    t_gen64 = None
-    if tflat64 is not None:
-        t_gen64 = tflat64.reshape(n, n, n)[:, gen_idx, :].reshape(t_gen.shape)
+    gen = np.setdiff1d(np.arange(n), f2.pivots)
+    terms = _iterate([ik.ScaledRref.full(n), f2], t3[:, gen, :].reshape(n, gen.size * n), tmax)
 
-    # Generator-level series M_1 = span G, M_{i+1} = [M_i, G].  Always
-    # M_i <= N^i, so levels surviving past the dimension bound prove
-    # the true series cannot reach zero either.  Each level keeps some
-    # spanning row set: the canonical one, or the raw bracket rows when
-    # the canonical basis happens to have much larger entries (keeping
-    # later products on the accelerated integer path).
-    levels = [np.eye(n, dtype=object)[gen_idx]]
-    dims = [len(gen_idx)]
-    while dims[-1]:
-        if len(levels) > n + 1:
-            raise NotNilpotentError("lower central series does not terminate")
-        u = levels[-1]
-        prod = ik.exact_matmul(u, t_gen, ik.max_abs(u), tmax, b64=t_gen64, box=False)
-        raw = prod.reshape(u.shape[0] * len(gen_idx), n)
-        nxt = ik.rref_from_rows(raw, n)
-        can = nxt.basis_matrix()
-        fat = ik.max_abs(can)
-        rows = raw if fat > 2**32 and ik.max_abs(raw) < fat else can
-        levels.append(rows)
-        dims.append(nxt.dim)
-    levels.pop()  # drop the empty level
-
-    # Accumulate F_i = M_i + M_{i+1} + ... from the deep end.
-    acc = ik.ScaledRref(n)
-    tail_rrefs: list[ik.ScaledRref] = []
-    tail_subspaces: list[Subspace] = []
-    for idx in range(len(levels) - 1, 0, -1):  # levels[idx] is M_{idx+1}
-        tail_rrefs.append(copy.copy(acc))  # insert_rows replaces acc's row lists
-        if acc.insert_rows(levels[idx]) == 0:
-            return None  # a level adds nothing: certification impossible
-        tail_subspaces.append(acc.to_subspace())
-    tail_rrefs.append(copy.copy(acc))
-    tail_rrefs.reverse()  # tail_rrefs[i] = F_{i+2}
-    tail_subspaces.reverse()  # tail_subspaces[0] = F_2 as subspace
-
-    # Certificate 1: F_2 = N^2.  Every accumulated row is a span of
-    # brackets, so F_2 <= N^2 holds unconditionally and equal dimension
-    # settles equality.
-    if acc.dim != e2.dim:
-        return None
-
-    # Certificate 2: [M_l, N] inside F_{l+1} for every level l >= 2.
-    # Level 1 needs no sweep: brackets of basis vectors are the
-    # constant rows, all inside N^2 = F_2.  Both certificates together
-    # force F_l = N^l for all l by a two-sided induction, so the
-    # filtration below is the lower central series itself.
-    for idx in range(1, len(levels)):
-        u = levels[idx]  # M_{idx+1}, so the required tail is F_{idx+2}
-        rows = ik.exact_matmul(u, tflat, ik.max_abs(u), tmax, b64=tflat64, box=False)
-        if tail_rrefs[idx].residuals(rows.reshape(u.shape[0] * n, n)).any():
+    for cur, nxt in zip(terms[1:], terms[2:]):
+        if cur.residuals(nxt.basis_matrix()).any():
             return None
-
-    terms = [Subspace.full(n)] + tail_subspaces + [Subspace.zero(n)]
+        p, _ = _complement(cur, nxt)
+        rows = ik.exact_matmul(p, tflat, ik.max_abs(p), tmax, b64=tflat64, box=False)
+        if nxt.residuals(rows.reshape(p.shape[0] * n, n)).any():
+            return None
     return Filtration(tuple(terms))
 
 
@@ -321,40 +273,63 @@ def _definitional_series(a: NilpotentAlgebra) -> Filtration:
     """N^{i+1} as the literal span of [basis(N^i), e_j] at every step."""
     n = a.dim
     t, _, tmax = a.int_tensor()
-    tflat = t.reshape(n, n * n)
     tflat64 = _flat_tensor64(a)
-    terms = [Subspace.full(n)]
-    cur = np.eye(n, dtype=object)
-    while cur.shape[0]:
+    table = t.reshape(n, n * n) if tflat64 is None else tflat64
+    return Filtration(tuple(_iterate([ik.ScaledRref.full(n)], table, tmax)))
+
+
+def _iterate(terms: list[ik.ScaledRref], table: np.ndarray, tmax: int) -> list[ik.ScaledRref]:
+    """Append the span of basis(terms[-1]) @ table, as rows of length n,
+    until it is zero; see the module docstring for the two raises.
+    table is int64 when its entries fit, object otherwise."""
+    n = terms[0].ambient
+    while terms[-1].dim:
         if len(terms) > n + 1:
             raise NotNilpotentError("lower central series does not terminate")
-        prod = ik.exact_matmul(cur, tflat, ik.max_abs(cur), tmax, b64=tflat64, box=False)
-        nxt = ik.rref_from_rows(prod.reshape(cur.shape[0] * n, n), n)
-        if nxt.dim == cur.shape[0]:
+        u = terms[-1].basis_matrix()
+        prod = ik.exact_matmul(u, table, ik.max_abs(u), tmax, box=False)
+        nxt = ik.rref_from_rows(prod.reshape(-1, n), n)
+        if nxt == terms[-1]:
             raise NotNilpotentError("lower central series stalls before zero")
-        terms.append(nxt.to_subspace())
-        cur = nxt.basis_matrix()
-    return Filtration(tuple(terms))
+        terms.append(nxt)
+    return terms
 
 
-@dataclass(frozen=True, eq=False)
+def _complement(cur: ik.ScaledRref, nxt: ik.ScaledRref) -> tuple[np.ndarray, int]:
+    """(rows, s): the rows of cur's canonical basis whose pivots are not
+    pivots of nxt, as integers over their common denominator s."""
+    drop = set(nxt.pivots)
+    keep = [r for r, p in enumerate(cur.pivots) if p not in drop]
+    s = math.lcm(1, *(cur.dens[r] for r in keep))
+    rows = [cur.nums[r] * (s // cur.dens[r]) for r in keep]
+    return np.array(rows, dtype=object).reshape(len(keep), cur.ambient), s
+
+
 class GradedAlgebra:
     """Associated graded pieces of a filtration.
 
-    pieces[i] holds coset representatives spanning a complement of
-    terms[i+1] inside terms[i]: the rows of terms[i]'s canonical basis
-    whose pivots are not pivots of terms[i+1].
+    Piece i holds coset representatives spanning a complement of
+    terms[i+1] inside terms[i]; graded() takes the rows of terms[i]'s
+    canonical basis whose pivots are not pivots of terms[i+1].  A piece
+    is given as a rational Matrix or as (integer rows, s), the
+    representatives being rows / s, and kept in the second form;
+    ``pieces`` is the rational view, built on first read.
     """
 
-    algebra: NilpotentAlgebra
-    filtration: Filtration
-    pieces: tuple[Matrix, ...]
-    # graded_pairing's row space per target degree (see _target_rref).
-    _targets: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, algebra: NilpotentAlgebra, filtration: Filtration,
+                 pieces: tuple[Matrix | tuple[np.ndarray, int], ...]):
+        self.algebra, self.filtration = algebra, filtration
+        self._scaled = tuple(p if isinstance(p, tuple) else ik.scaled_int(p) for p in pieces)
+        self._targets: dict = {}  # graded_pairing's row space per degree (_target_rref)
+
+    @cached_property
+    def pieces(self) -> tuple[Matrix, ...]:
+        return tuple(Matrix(tuple(tuple(Fraction(x, s) for x in row) for row in rows.tolist()),
+                            len(rows), self.algebra.dim) for rows, s in self._scaled)
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(p.rows for p in self.pieces)
+        return tuple(len(rows) for rows, _ in self._scaled)
 
     def piece(self, i: int) -> Matrix:
         """Coset representatives for gr^i (1-based degree)."""
@@ -364,17 +339,21 @@ class GradedAlgebra:
             return Matrix((), 0, self.algebra.dim)
         return self.pieces[i - 1]
 
+    def scaled_piece(self, i: int) -> tuple[np.ndarray, int]:
+        """piece(i) as (integer rows, s), the representatives being rows / s."""
+        if i > len(self._scaled):
+            return np.zeros((0, self.algebra.dim), dtype=object), 1
+        return self._scaled[i - 1]
+
 
 def graded(a: NilpotentAlgebra, filtration: Filtration | None = None) -> GradedAlgebra:
     f = filtration if filtration is not None else lower_central_series(a)
     pieces = []
-    for i in range(f.nilpotency_class):
-        cur, nxt = f.terms[i], f.terms[i + 1]
-        nxt_pivots = set(nxt.pivots())
-        rows = [row for row, p in zip(cur.basis.entries, cur.pivots()) if p not in nxt_pivots]
-        if len(rows) != cur.dim - nxt.dim:
+    for cur, nxt in zip(f.rrefs, f.rrefs[1:]):
+        rows, s = _complement(cur, nxt)
+        if rows.shape[0] != cur.dim - nxt.dim:
             raise AssertionError("filtration terms are not nested")
-        pieces.append(Matrix(tuple(rows), len(rows), a.dim))
+        pieces.append((rows, s))
     return GradedAlgebra(a, f, tuple(pieces))
 
 
@@ -399,16 +378,14 @@ def graded_pairing(g: GradedAlgebra, i: int, j: int) -> BilinearPairing:
         raise ValueError("graded degrees start at 1")
     a = g.algebra
     n = a.dim
-    u = g.piece(i)
-    v = g.piece(j)
+    ui, us = g.scaled_piece(i)
+    vi, vs = g.scaled_piece(j)
     e = _target_rref(g, i + j)
-    du, dv, dt = u.rows, v.rows, e.ambient - n
+    du, dv, dt = ui.shape[0], vi.shape[0], e.ambient - n
 
     # Every bracket at once: w[r * dv + c] = cs * us * vs * [u_r, v_c],
     # contracting u into the scaled structure tensor and then v.
     t, cs, tmax = a.int_tensor()
-    ui, us = ik.scaled_int(u)
-    vi, vs = ik.scaled_int(v)
     x = ik.exact_matmul(ui, t.reshape(n, n * n), ik.max_abs(ui), tmax,
                         b64=_flat_tensor64(a), box=False)
     x = x.reshape(du, n, n).transpose(0, 2, 1).reshape(du * n, n)
@@ -427,20 +404,18 @@ def graded_pairing(g: GradedAlgebra, i: int, j: int) -> BilinearPairing:
 
 
 def _target_rref(g: GradedAlgebra, k: int) -> ik.ScaledRref:
-    """Row space of [target_r | e_r] and [tail_t | 0], scaled to
-    integers, for the degree-k representatives and the basis of
-    N^{k+1}.  The rows are independent on the first n columns.  Cached
-    on g: every pairing into degree k reduces against it."""
+    """Row space of [s * target_r | s * e_r] and [tail_t | 0] for the
+    degree-k representatives target / s and the basis of N^{k+1}.  The
+    rows are independent on the first n columns.  Cached on g: every
+    pairing into degree k reduces against it."""
     cached = g._targets.get(k)
     if cached is None:
         n = g.algebra.dim
-        if k > g.filtration.nilpotency_class:
-            target = tail = Matrix((), 0, n)
-        else:
-            target = g.piece(k)
-            tail = g.filtration.terms[k].basis  # terms[k] = N^{k+1}
-        dt = target.rows
-        reps, s = ik.scaled_int(Matrix(target.entries + tail.entries, dt + tail.rows, n))
+        target, s = g.scaled_piece(k)
+        rrefs = g.filtration.rrefs
+        tail = rrefs[k].basis_matrix() if k < len(rrefs) else np.zeros((0, n), dtype=object)
+        dt = target.shape[0]
+        reps = np.vstack([target, tail])
         cached = g._targets[k] = ik.rref_from_rows(
             np.hstack([reps, s * np.eye(reps.shape[0], dt, dtype=object)]), n + dt)
     return cached

@@ -351,6 +351,28 @@ def test_exit_2_dim_above_largest_nilradical(tmp_path, capsys, monkeypatch, argv
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("argv", [["identify"], ["obfuscate", "--seed", "1", "-o", "out.json"]])
+def test_exit_2_structure_tensor_above_byte_limit(tmp_path, capsys, monkeypatch, argv):
+    # Rank bound 100 lets dim reach 10000 (B100), but a dim-5000 dense
+    # tensor would take 5000^3 * 8 bytes = 1 TB.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.ENV_MAX_RANK, "100")
+
+    def no_tensor(self):
+        raise AssertionError("structure tensor allocated")
+
+    monkeypatch.setattr(NilpotentAlgebra, "int_tensor", no_tensor)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "dim": 5000,
+        "brackets": [{"i": 0, "j": 1, "terms": [{"k": 2, "num": 1, "den": 1}]}],
+    }))
+    code, _, err = run([argv[0], str(path), *argv[1:]], capsys)
+    assert code == 2 and "dense structure tensor" in err
+    assert str(5000**3 * 8) in err and str(cli.MAX_TENSOR_BYTES) in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_largest_nilradical_dim_matches_type_table():
     for bound in range(1, 21):
         table = max((simple_dimension(t) - t.rank) // 2 for t in all_types(bound))

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import fraction_linalg as oracle
 from lienil import _intkernel as ik
+from lienil import nilalg
 from lienil.chevalley import nilradical, verify_jacobi
 from lienil.exactlin import Matrix, Subspace, random_unimodular
 from lienil.fingerprint import identify
@@ -37,7 +38,7 @@ from lienil.nilalg import (
     lower_central_series,
     right_kernel,
 )
-from lienil.rootsys import SimpleType, build_root_system
+from lienil.rootsys import SimpleType, all_types, build_root_system, degree_histogram
 
 F = Fraction
 
@@ -206,17 +207,46 @@ def test_non_closed_table_not_nilpotent():
         lower_central_series(a)
 
 
-def test_non_lie_nilpotent_table_falls_back():
+def test_non_lie_nilpotent_table_falls_back(monkeypatch):
     # Not a Lie algebra (Jacobi fails on e0, e1, e3), yet nilpotent:
-    # the generator-level shortcut cannot certify [e2, e3] = e4 and the
-    # definitional series must take over.
+    # the direct series gives F_3 = span(e3), and [e2, e3] = e4 fails
+    # the [P_2, N] <= F_3 check, so the definitional series takes over.
     a = NilpotentAlgebra(
         5,
         {(0, 1): ((2, 1),), (0, 2): ((3, 1),), (2, 3): ((4, 1),)},
     )
+    fallbacks = []
+    monkeypatch.setattr(nilalg, "_definitional_series",
+                        lambda b: fallbacks.append(b) or _definitional_series(b))
     f = lower_central_series(a)
+    assert fallbacks == [a]
     assert f.dims == (5, 3, 2, 1, 0)
     assert f == _definitional_series(a)
+
+
+def _direct_sum(a, dim, table):
+    n = a.dim
+    constants = dict(a.constants)
+    for (i, j), terms in table.items():
+        constants[(n + i, n + j)] = tuple((n + k, F(v)) for k, v in terms)
+    return NilpotentAlgebra(n + dim, constants)
+
+
+@pytest.mark.parametrize("base", ["", "D4"])
+def test_stalled_series_raises_without_fallback(base, monkeypatch):
+    # [x, y] = y keeps y in every term: the direct series repeats a term,
+    # which proves non-nilpotency without the definitional iteration.
+    a = NilpotentAlgebra(2, {(0, 1): ((1, 1),)})
+    if base:
+        d = nilradical(build_root_system(SimpleType.parse(base)))
+        a = _direct_sum(change_basis(d, random_unimodular(d.dim, 5)), 2, {(0, 1): ((1, 1),)})
+
+    def no_fallback(b):
+        raise AssertionError("the definitional series ran")
+
+    monkeypatch.setattr(nilalg, "_definitional_series", no_fallback)
+    with pytest.raises(NotNilpotentError, match="stalls before zero"):
+        lower_central_series(a)
 
 
 def table_strategy(dim, increasing):
@@ -259,6 +289,37 @@ def test_series_agrees_with_definition_on_arbitrary_tables(a):
             _definitional_series(a)
         return
     assert f == _definitional_series(a)
+
+
+@pytest.mark.parametrize("t", all_types(4), ids=str)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_series_matches_definition_on_scrambled_types(t, seed):
+    a = nilradical(build_root_system(t))
+    b = change_basis(a, random_unimodular(a.dim, seed))
+    assert lower_central_series(b) == _definitional_series(b)
+
+
+def test_scrambled_series_and_graded_dims_build_no_fraction(monkeypatch):
+    a = nilradical(build_root_system(SimpleType.parse("E7")))
+    b = change_basis(a, random_unimodular(a.dim, 1))
+    built = 0
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(F, "__new__", staticmethod(counting_new))
+        f = lower_central_series(b)
+        dims = graded(b, f).dims
+        assert built == 0
+    assert dims == tuple(degree_histogram(build_root_system(SimpleType.parse("E7"))))
+    # The rational view still reads as canonical reduced echelon bases.
+    assert tuple(t.dim for t in f.terms) == f.dims
+    for term in f.terms:
+        assert oracle.rref(term.basis) == term.basis
 
 
 @settings(max_examples=10, deadline=None)
