@@ -7,12 +7,13 @@ so every route gives the same result.  Residue products modulo a
 word-size prime run on float64 BLAS, exact under residue_matmul's bound.
 
 ScaledRref is the package's only row reduction: the lower central
-series, graded pairings, scaled_inverse, and exactlin's rref, kernel
-and inverse all run on it.  It reduces modulo primes from PRIMES, with
-CRT and rational reconstruction under an exact certificate
-(_certified_rref).  Fractions appear only at the boundary: scaled_int
-turns a rational Matrix into integer rows, and to_subspace turns a row
-space back into its canonical rational basis.
+series, graded pairings and their kernels, scaled_inverse, and
+exactlin's rref, kernel and inverse all run on it; null_space reads a
+kernel's canonical basis off a single reduction.  It reduces modulo
+primes from PRIMES, with CRT and rational reconstruction under an
+exact certificate (_certified_rref).  Fractions appear only at the
+boundary: scaled_int turns a rational Matrix into integer rows, and
+to_subspace turns a row space back into its canonical rational basis.
 """
 
 from __future__ import annotations
@@ -391,6 +392,25 @@ class ScaledRref:
 def rref_from_rows(rows: np.ndarray, ambient: int) -> ScaledRref:
     e = ScaledRref(ambient)
     e.insert_rows(rows)
+    return e
+
+
+def null_space(m: np.ndarray, cols: int) -> ScaledRref:
+    """{v : m @ v = 0} in canonical form, from one certified reduction of
+    m with its columns reversed: read in normal column order, its row r
+    is 1 at its pivot c_r, 0 at the other pivots and after c_r.  Free
+    column f gives the vector that is 1 at f, 0 at the other free columns
+    and -row_r[f] at c_r (zero unless c_r > f), so it leads at f and is 0
+    at the others' leading columns: the reduced echelon basis already."""
+    piv, rnum, d, _, _ = rref_from_rows(m[:, ::-1], cols)._scaled()
+    piv, rnum = cols - 1 - piv, rnum[:, ::-1]
+    free = np.setdiff1d(np.arange(cols), piv)
+    vecs = np.zeros((free.size, cols), dtype=object)
+    vecs[np.arange(free.size), free] = d
+    vecs[:, piv] = -rnum[:, free].T
+    g = np.gcd.reduce(vecs, axis=1)  # includes the leading d
+    e = ScaledRref(cols)
+    e.pivots, e.nums, e.dens = free.tolist(), list(vecs // g[:, None]), (d // g).tolist()
     return e
 
 

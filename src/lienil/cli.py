@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -443,18 +444,18 @@ def _coset_coordinates(piece: Matrix, root_index: int):
 def run_claims(max_rank: int) -> list[ClaimResult]:
     """Check the library's headline guarantees up to the rank bound."""
     types = all_types(max_rank)
-    cache: dict[SimpleType, NilpotentAlgebra] = {}
-    series: dict[SimpleType, object] = {}
 
+    @functools.cache
     def nr(t: SimpleType) -> NilpotentAlgebra:
-        if t not in cache:
-            cache[t] = nilradical(build_root_system(t))
-        return cache[t]
+        return nilradical(build_root_system(t))
 
+    @functools.cache
     def lcs(t: SimpleType):
-        if t not in series:
-            series[t] = lower_central_series(nr(t))
-        return series[t]
+        return lower_central_series(nr(t))
+
+    @functools.cache
+    def gr(t: SimpleType) -> GradedAlgebra:
+        return graded(nr(t), lcs(t))
 
     results: list[ClaimResult] = []
 
@@ -466,7 +467,7 @@ def run_claims(max_rank: int) -> list[ClaimResult]:
     claim("dimension-table", not bad, f"{len(types)} types checked" if not bad else f"mismatch: {bad}")
 
     # dim gr^1 equals the rank.
-    bad = [str(t) for t in types if graded(nr(t), lcs(t)).dims[0] != t.rank]
+    bad = [str(t) for t in types if gr(t).dims[0] != t.rank]
     claim("rank-recovery", not bad, f"{len(types)} types checked" if not bad else f"mismatch: {bad}")
 
     # The abstract lower central series is the degree filtration.
@@ -490,7 +491,7 @@ def run_claims(max_rank: int) -> list[ClaimResult]:
     # E6 has five degree-4 roots; B6 and C6 have four.
     if max_rank >= 6:
         counts = {
-            name: graded(nr(SimpleType.parse(name)), lcs(SimpleType.parse(name))).dims[3]
+            name: gr(SimpleType.parse(name)).dims[3]
             for name in ("E6", "B6", "C6")
         }
         claim("e6-degree4-count",
@@ -505,7 +506,7 @@ def run_claims(max_rank: int) -> list[ClaimResult]:
         for n in range(3, max_rank + 1):
             for fam in ("B", "C"):
                 t = SimpleType(fam, n)
-                g = graded(nr(t), lcs(t))
+                g = gr(t)
                 ker = right_kernel(graded_pairing(g, 2, 2 * n - 3))
                 if fam == "B" and ker.dim != 0:
                     ok = False
@@ -526,7 +527,7 @@ def run_claims(max_rank: int) -> list[ClaimResult]:
     trips = 0
     bad = []
     for t in types:
-        expected = identify(nr(t), max_rank=max_rank, filtration=lcs(t))
+        expected = identify(gr(t), max_rank=max_rank)
         for seed in seeds:
             b = change_basis(nr(t), random_unimodular(nr(t).dim, seed))
             trips += 1
@@ -543,7 +544,7 @@ def run_claims(max_rank: int) -> list[ClaimResult]:
     # Graded structure constants equal the nilradical's in the root basis.
     bad = [
         str(t) for t in types
-        if _graded_table(graded(nr(t), lcs(t))) != nr(t).constants
+        if _graded_table(gr(t)) != nr(t).constants
     ]
     claim("graded-matches-nilradical", not bad,
           f"{len(types)} types checked" if not bad else f"mismatch: {bad}")
@@ -553,7 +554,7 @@ def run_claims(max_rank: int) -> list[ClaimResult]:
     checked = 0
     bad = []
     for t in [x for x in types if x.rank <= min(4, max_rank)]:
-        g = graded(nr(t), lcs(t))
+        g = gr(t)
         cls = g.filtration.nilpotency_class
         for i in range(1, cls + 1):
             for j in range(1, cls - i + 1):

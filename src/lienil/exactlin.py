@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import _intkernel as ik
 
 Vector = tuple[Fraction, ...]
@@ -153,15 +151,10 @@ class Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Right null space {v : m @ v = 0} as a canonical subspace: with
-    rref(m) = rnum / d, free column f gives the vector that reads d at
-    f and -rnum[r, f] at the pivot of row r."""
-    piv, rnum, d, _, _ = ik.rref_from_rows(ik.scaled_int(m)[0], m.cols)._scaled()
-    free = np.setdiff1d(np.arange(m.cols), piv)
-    vecs = np.zeros((free.size, m.cols), dtype=object)
-    vecs[np.arange(free.size), free] = d
-    vecs[:, piv] = -rnum[:, free].T
-    return ik.rref_from_rows(vecs, m.cols).to_subspace()
+    """Right null space {v : m @ v = 0} as a canonical subspace: one
+    certified reduction of m's scaled integer rows (_intkernel.null_space)
+    whose free-column vectors already form the reduced echelon basis."""
+    return ik.null_space(ik.scaled_int(m)[0], m.cols).to_subspace()
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -31,7 +31,7 @@ from .nilalg import (
     graded,
     graded_pairing,
     lower_central_series,
-    right_kernel,
+    right_null_space,
 )
 from .rootsys import SimpleType, build_root_system, degree_histogram
 
@@ -147,7 +147,7 @@ def bc_discriminator(a: NilpotentAlgebra, n: int, g: GradedAlgebra | None = None
     if g.dims[2 * n - 4:2 * n - 1:2] != (2, 1):  # dim gr^{2n-3}, dim gr^{2n-1}
         raise ValueError("graded dimensions do not match a B/C nilradical")
     p = graded_pairing(g, 2, 2 * n - 3)
-    return "B" if right_kernel(p).dim == 0 else "C"
+    return "B" if right_null_space(p).dim == 0 else "C"
 
 
 def _aliases(canonical: SimpleType) -> tuple[SimpleType, ...]:

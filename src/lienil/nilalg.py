@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _intkernel as ik
-from .exactlin import Matrix, Subspace, kernel, vector
+from .exactlin import Matrix, Subspace, vector
 
 Constants = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
 
@@ -314,13 +314,18 @@ class GradedAlgebra:
     is given as a rational Matrix or as (integer rows, s), the
     representatives being rows / s, and kept in the second form;
     ``pieces`` is the rational view, built on first read.
+
+    graded_pairing caches per degree piece i contracted into the structure
+    tensor (at most n^3 more entries in all, the size of the tensor) and
+    the row space of _target_rref.
     """
 
     def __init__(self, algebra: NilpotentAlgebra, filtration: Filtration,
                  pieces: tuple[Matrix | tuple[np.ndarray, int], ...]):
         self.algebra, self.filtration = algebra, filtration
         self._scaled = tuple(p if isinstance(p, tuple) else ik.scaled_int(p) for p in pieces)
-        self._targets: dict = {}  # graded_pairing's row space per degree (_target_rref)
+        self._contracted: dict = {}
+        self._targets: dict = {}
 
     @cached_property
     def pieces(self) -> tuple[Matrix, ...]:
@@ -357,19 +362,26 @@ def graded(a: NilpotentAlgebra, filtration: Filtration | None = None) -> GradedA
     return GradedAlgebra(a, f, tuple(pieces))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilinearPairing:
     """Induced pairing gr^i x gr^j -> gr^{i+j} as an exact tensor.
 
-    tensor[a][b] is the coordinate vector (length dim gr^{i+j}) of
-    [u_a, v_b] against the degree-(i+j) coset representatives.
+    coords[a, b] / den, integers over one positive den, is the coordinate
+    vector (length dim gr^{i+j}) of [u_a, v_b] against the degree-(i+j)
+    coset representatives; ``tensor`` is its rational view, built on first read.
     """
 
     i: int
     j: int
     source_dims: tuple[int, int]
     target_dim: int
-    tensor: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    coords: np.ndarray
+    den: int
+
+    @cached_property
+    def tensor(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        return tuple(tuple(tuple(Fraction(c, self.den) for c in vec) for vec in row)
+                     for row in self.coords.tolist())
 
 
 def graded_pairing(g: GradedAlgebra, i: int, j: int) -> BilinearPairing:
@@ -384,12 +396,15 @@ def graded_pairing(g: GradedAlgebra, i: int, j: int) -> BilinearPairing:
     du, dv, dt = ui.shape[0], vi.shape[0], e.ambient - n
 
     # Every bracket at once: w[r * dv + c] = cs * us * vs * [u_r, v_c],
-    # contracting u into the scaled structure tensor and then v.
+    # contracting u (cached per i) into the scaled structure tensor, then v.
     t, cs, tmax = a.int_tensor()
-    x = ik.exact_matmul(ui, t.reshape(n, n * n), ik.max_abs(ui), tmax,
-                        b64=_flat_tensor64(a), box=False)
-    x = x.reshape(du, n, n).transpose(0, 2, 1).reshape(du * n, n)
-    w = ik.exact_matmul(x, vi.T, box=False)
+    if i not in g._contracted:
+        x = ik.exact_matmul(ui, t.reshape(n, n * n), ik.max_abs(ui), tmax,
+                            b64=_flat_tensor64(a), box=False)
+        x = x.reshape(du, n, n).transpose(0, 2, 1).reshape(du * n, n)
+        g._contracted[i] = x, ik.max_abs(x)
+    x, xmax = g._contracted[i]
+    w = ik.exact_matmul(x, vi.T, xmax, box=False)
     w = w.reshape(du, n, dv).transpose(0, 2, 1).reshape(du * dv, n)
 
     # The residual of [w | 0] is [0 | -d * coordinates] when w lies in
@@ -397,10 +412,8 @@ def graded_pairing(g: GradedAlgebra, i: int, j: int) -> BilinearPairing:
     res = e.residuals(np.hstack([w, np.zeros((du * dv, dt), dtype=w.dtype)]))
     if res[:, :n].any():
         raise AssertionError("bracket left the expected filtration level")
-    den = -e.denominator * cs * us * vs
-    coords = [tuple(Fraction(c, den) for c in row) for row in res[:, n:].tolist()]
-    tensor = tuple(tuple(coords[r * dv:(r + 1) * dv]) for r in range(du))
-    return BilinearPairing(i, j, (du, dv), dt, tensor)
+    coords = -res[:, n:].reshape(du, dv, dt)
+    return BilinearPairing(i, j, (du, dv), dt, coords, e.denominator * cs * us * vs)
 
 
 def _target_rref(g: GradedAlgebra, k: int) -> ik.ScaledRref:
@@ -421,20 +434,22 @@ def _target_rref(g: GradedAlgebra, k: int) -> ik.ScaledRref:
     return cached
 
 
-def _null_space(tensor, dim: int, target_dim: int) -> Subspace:
-    """{w : sum_b tensor[x][b][c] * w[b] = 0 for every x and c}."""
-    rows = [[t[b][c] for b in range(dim)] for t in tensor for c in range(target_dim)]
-    return kernel(Matrix.from_rows(rows, cols=dim))
+def right_null_space(p: BilinearPairing) -> ik.ScaledRref:
+    """right_kernel in canonical integer form."""
+    du, dv = p.source_dims
+    return ik.null_space(p.coords.transpose(0, 2, 1).reshape(du * p.target_dim, dv), dv)
 
 
 def right_kernel(p: BilinearPairing) -> Subspace:
     """{w in gr^j : pairing(u, w) = 0 for all u} as a canonical subspace."""
-    return _null_space(p.tensor, p.source_dims[1], p.target_dim)
+    return right_null_space(p).to_subspace()
 
 
 def left_kernel(p: BilinearPairing) -> Subspace:
     """{w in gr^i : pairing(w, v) = 0 for all v} as a canonical subspace."""
-    return _null_space(tuple(zip(*p.tensor)), p.source_dims[0], p.target_dim)
+    du, dv = p.source_dims
+    rows = p.coords.transpose(1, 2, 0).reshape(dv * p.target_dim, du)
+    return ik.null_space(rows, du).to_subspace()
 
 
 def change_basis(a: NilpotentAlgebra, m: Matrix) -> NilpotentAlgebra:

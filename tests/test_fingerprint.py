@@ -176,6 +176,26 @@ def test_identify_names_every_canonical_type():
         assert ident.canonical == canonical_of.get(tt, tt), tt
 
 
+@pytest.mark.parametrize("name", ["C8", "E8"])
+def test_scrambled_identification_builds_no_fraction(name, monkeypatch):
+    # The series, graded pieces, the B/C pairing and its kernel all stay
+    # integer: Fractions are only for I/O.
+    b = change_basis(nil(name), random_unimodular(nil(name).dim, 1))
+    built = 0
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(F, "__new__", staticmethod(counting_new))
+        ident = identify(b)
+        assert built == 0
+    assert ident.canonical == t(name)
+
+
 def test_identify_aliases():
     assert identify(nil("A1")) == Identification(t("A1"), (t("B1"), t("C1")))
     assert identify(nil("B2")) == Identification(t("B2"), (t("C2"),))

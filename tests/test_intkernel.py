@@ -1,7 +1,8 @@
 """Differential tests of the integer kernels in lienil._intkernel.
 
 ScaledRref's modular echelon form is checked against the row-by-row
-scaled-integer engine it replaced (fraction_linalg.RowByRowRref), and
+scaled-integer engine it replaced (fraction_linalg.RowByRowRref),
+null_space against the Fraction kernel (fraction_linalg.kernel), and
 the float64 routes of exact_matmul and ScaledRref.residuals against
 object-dtype products.
 """
@@ -13,8 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fraction_linalg
 from fraction_linalg import RowByRowRref
 from lienil import _intkernel as ik
+from lienil.exactlin import Matrix
 
 P0, P1 = ik.PRIMES[0], ik.PRIMES[1]
 
@@ -83,6 +86,35 @@ def test_rref_from_rows_matches_row_by_row(case):
     if all(abs(x) < 2**62 for row in rows for x in row):
         rows64 = np.array(rows, dtype=np.int64).reshape(-1, cols)
         assert_same_state(ik.rref_from_rows(rows64, cols), o)
+
+
+@st.composite
+def kernel_inputs(draw):
+    cols = draw(st.integers(1, 6))
+    return cols, draw(row_blocks(cols))
+
+
+def oracle_kernel_rref(rows, cols) -> ik.ScaledRref:
+    """rref_from_rows of the Fraction oracle's kernel vectors, each
+    scaled to integers."""
+    basis = fraction_linalg.kernel(Matrix.from_rows(rows, cols=cols)).basis.entries
+    scaled = [[x * math.lcm(*(y.denominator for y in v)) for x in v] for v in basis]
+    return ik.rref_from_rows(as_array([[int(x) for x in v] for v in scaled], cols), cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs())
+@example((2, [[1, 0], [0, P0]]))  # rank mod PRIMES[0] is below rank over Q
+@example((3, [[P0, 1, 0]]))  # a later pivot mod PRIMES[0]
+@example((3, [[0, 0, 0], [0, 0, 0]]))
+@example((4, []))
+def test_null_space_matches_fraction_kernel(case):
+    cols, rows = case
+    want = oracle_kernel_rref(rows, cols)
+    assert ik.null_space(as_array(rows, cols), cols) == want  # pivots, nums and dens
+    # int64 input takes the same path as object input.
+    if all(abs(x) < 2**62 for row in rows for x in row):
+        assert ik.null_space(np.array(rows, dtype=np.int64).reshape(-1, cols), cols) == want
 
 
 @st.composite

@@ -382,6 +382,18 @@ def test_upper_triangular_pairing_kernels():
     assert right_kernel(p) == Subspace.zero(2)
 
 
+def test_pairing_with_a_denominator_beyond_int64():
+    # Small integer brackets over a 101-bit denominator: the coordinates
+    # stay int64 while the denominator is a Python int.
+    g = graded(NilpotentAlgebra(3, {(0, 1): ((2, F(1, 2**100)),)}))
+    p = graded_pairing(g, 1, 1)
+    assert p.tensor == (((F(0),), (F(1, 2**100),)), ((F(-1, 2**100),), (F(0),)))
+    assert right_kernel(p) == Subspace.zero(2)
+    p = graded_pairing(g, 1, 2)
+    assert p.target_dim == 0 and p.tensor == (((),), ((),))
+    assert left_kernel(p) == Subspace.full(2)
+
+
 def test_pairing_degree_bounds():
     with pytest.raises(ValueError):
         graded_pairing(graded(H3), 0, 1)
@@ -455,6 +467,44 @@ def test_pairing_matches_per_pair_brackets(name, seed):
         for i in range(1, cls + 1):
             for j in range(1, cls + 2 - i):
                 assert graded_pairing(g, i, j).tensor == _pairing_by_brackets(g, i, j), (i, j)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pairing_kernels_match_fraction_kernel(name, seed):
+    # The Fraction tensor flattened to matrices, rows (u, target
+    # coordinate) for the right kernel and (v, target coordinate) for the
+    # left, reduced by the Fraction oracle.
+    a = nilradical(build_root_system(SimpleType.parse(name)))
+    scrambled = graded(change_basis(a, random_unimodular(a.dim, seed)))
+    for g in (scrambled, _perturbed(graded(a), seed)):
+        cls = g.filtration.nilpotency_class
+        for i in range(1, cls + 1):
+            for j in range(1, cls + 2 - i):
+                p = graded_pairing(g, i, j)
+                (du, dv), dt = p.source_dims, p.target_dim
+                right = [[p.tensor[x][b][c] for b in range(dv)] for x in range(du) for c in range(dt)]
+                left = [[p.tensor[x][b][c] for x in range(du)] for b in range(dv) for c in range(dt)]
+                assert right_kernel(p) == oracle.kernel(Matrix.from_rows(right, cols=dv)), (i, j)
+                assert left_kernel(p) == oracle.kernel(Matrix.from_rows(left, cols=du)), (i, j)
+
+
+@pytest.mark.parametrize("name", ["C3", "G2"])
+def test_pairing_caches_do_not_depend_on_request_order(name):
+    # Each GradedAlgebra caches the contraction of every source piece and
+    # the row space of every target degree on first use.
+    a = nilradical(build_root_system(SimpleType.parse(name)))
+    b = change_basis(a, random_unimodular(a.dim, 1))
+    f = lower_central_series(b)
+    cls = f.nilpotency_class
+    pairs = [(i, j) for i in range(1, cls + 1) for j in range(1, cls + 2 - i)]
+    g = graded(b, f)
+    backwards = {(i, j): graded_pairing(g, i, j) for i, j in reversed(pairs)}
+    for i, j in pairs:
+        fresh = graded_pairing(graded(b, f), i, j)
+        p = backwards[(i, j)]
+        assert p.den == fresh.den and np.array_equal(p.coords, fresh.coords), (i, j)
+        assert p.tensor == fresh.tensor, (i, j)
 
 
 @pytest.mark.parametrize("name", ["B3", "C3", "G2"])
