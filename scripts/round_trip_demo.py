@@ -2,9 +2,11 @@
 """Scramble a nilradical behind a random unimodular basis change and
 recover its simple type from the structure constants alone.
 
-Shows the whole pipeline: build, obfuscate, Jacobi check, lower
-central series, associated graded, identify, with timings per stage and
-the number of residue primes the Jacobi check used.  The series and the
+Shows the whole pipeline: build, obfuscate, a save and load of the
+scrambled table through the file format, Jacobi check, lower central
+series, associated graded, identify, with timings per stage and the
+number of residue primes the Jacobi check used.  The load is timed
+with the first int_tensor() call, which builds the integer tensor.  The series and the
 graded algebra are timed on their own, and identify is handed the
 graded algebra, so the identify time is the rest of identification.
 
@@ -12,10 +14,13 @@ graded algebra, so the identify time is the rest of identification.
 """
 
 import argparse
+import os
+import tempfile
 import time
 
 import numpy as np
 
+from lienil.cli import load_algebra, save_algebra
 from lienil.chevalley import jacobi_primes, nilradical, verify_jacobi
 from lienil.exactlin import random_unimodular
 from lienil.fingerprint import identify
@@ -35,6 +40,16 @@ def main() -> None:
     t1 = time.perf_counter()
     scrambled = change_basis(a, random_unimodular(a.dim, args.seed))
     t2 = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scrambled.json")
+        save_algebra(path, scrambled)
+        ts = time.perf_counter()
+        loaded = load_algebra(path)
+        loaded.int_tensor()
+        tl = time.perf_counter()
+        size = os.path.getsize(path)
+    assert loaded == scrambled, "the file does not read back as the scrambled table"
+    tj = time.perf_counter()
     report = verify_jacobi(scrambled)
     t3 = time.perf_counter()
     series = lower_central_series(scrambled)
@@ -48,8 +63,9 @@ def main() -> None:
     entries = np.count_nonzero(scrambled.int_tensor()[0]) // 2
     print(f"built {t} nilradical: dim {a.dim} ({t1 - t0:.3f}s)")
     print(f"scrambled with seed {args.seed}: {entries} nonzero terms ({t2 - t1:.3f}s)")
+    print(f"file of {size} bytes: save {ts - t2:.3f}s, load + tensor {tl - ts:.3f}s")
     print(f"Jacobi {'holds' if report.ok else 'FAILS'} on {report.triples_checked} triples, "
-          f"{len(jacobi_primes(scrambled))} residue primes ({t3 - t2:.3f}s)")
+          f"{len(jacobi_primes(scrambled))} residue primes ({t3 - tj:.3f}s)")
     print(f"lower central series: dims {series.dims} ({t4 - t3:.3f}s)")
     print(f"graded: dims {g.dims} ({t5 - t4:.3f}s)")
     print(f"identified: {ident.canonical}"

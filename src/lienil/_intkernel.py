@@ -11,9 +11,9 @@ series, graded pairings and their kernels, scaled_inverse, and
 exactlin's rref, kernel and inverse all run on it; null_space reads a
 kernel's canonical basis off a single reduction.  It reduces modulo
 primes from PRIMES, with CRT and rational reconstruction under an
-exact certificate (_certified_rref).  Fractions appear only at the
-boundary: scaled_int turns a rational Matrix into integer rows, and
-to_subspace turns a row space back into its canonical rational basis.
+exact certificate (_certified_rref).  Structure constants arrive as
+nilalg's integer tensor, files included; Fractions appear only where
+scaled_int and to_subspace convert rational matrices and row spaces.
 """
 
 from __future__ import annotations

@@ -95,10 +95,7 @@ def nilradical(rs: RootSystem) -> NilpotentAlgebra:
                 raise AssertionError(f"constant for pair {ai},{bi} is {val}")
             nconst[(ai, bi)] = int(val)
 
-    constants = {
-        (i, j): ((index[pos[i] + pos[j]], Fraction(v)),)
-        for (i, j), v in nconst.items()
-    }
+    constants = {(i, j): ((index[pos[i] + pos[j]], v),) for (i, j), v in nconst.items()}
     return NilpotentAlgebra(len(pos), constants)
 
 

@@ -23,9 +23,10 @@ import random
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import groupby
 
 from .chevalley import nilradical, verify_jacobi
-from .exactlin import Matrix, Subspace, random_unimodular
+from .exactlin import Matrix, Subspace, random_unimodular, random_unimodular_rows
 from .fingerprint import (
     DEFAULT_MAX_RANK,
     UnrecognizedAlgebraError,
@@ -73,67 +74,62 @@ class AlgebraFileError(Exception):
 
 
 def algebra_to_payload(a: NilpotentAlgebra, metadata: dict | None = None) -> dict:
-    brackets = []
-    for (i, j) in sorted(a.constants):
-        terms = [
-            {"k": k, "num": v.numerator, "den": v.denominator}
-            for k, v in a.constants[(i, j)]
-        ]
-        brackets.append({"i": i, "j": j, "terms": terms})
+    brackets = [{"i": i, "j": j, "terms": [{"k": k, "num": p, "den": q} for _, _, k, p, q in run]}
+                for (i, j), run in groupby(a._nonzero_terms(), lambda t: t[:2])]
     payload = {"format_version": FORMAT_VERSION, "dim": a.dim, "brackets": brackets}
     if metadata is not None:
         payload["metadata"] = metadata
     return payload
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str, *args) -> None:
+    """Raise AlgebraFileError(message.format(*args)) unless cond."""
     if not cond:
-        raise AlgebraFileError(message)
+        raise AlgebraFileError(message.format(*args))
 
 
 def _as_index(value, upper: int, what: str) -> int:
-    _require(type(value) is int and 0 <= value < upper, f"{what} must be an integer in [0, {upper})")
+    _require(type(value) is int and 0 <= value < upper, "{} must be an integer in [0, {})",
+             what, upper)
     return value
 
 
 def algebra_from_payload(payload) -> NilpotentAlgebra:
+    """The algebra of a schema-checked payload, read as integers."""
     _require(isinstance(payload, dict), "top level must be a JSON object")
-    _require(
-        set(payload) <= {"format_version", "dim", "brackets", "metadata"},
-        "unknown top-level keys",
-    )
+    _require(set(payload) <= {"format_version", "dim", "brackets", "metadata"},
+             "unknown top-level keys")
     _require(payload.get("format_version") == FORMAT_VERSION,
              f"format_version must be {FORMAT_VERSION}")
     dim = payload.get("dim")
     _require(type(dim) is int and dim >= 1, "dim must be a positive integer")
     brackets = payload.get("brackets")
     _require(isinstance(brackets, list), "brackets must be a list")
-    constants = {}
+    terms, pairs = [], set()
     for entry in brackets:
-        _require(isinstance(entry, dict) and set(entry) == {"i", "j", "terms"},
+        _require(isinstance(entry, dict) and entry.keys() == {"i", "j", "terms"},
                  "each bracket needs exactly the keys i, j, terms")
         i = _as_index(entry["i"], dim, "i")
         j = _as_index(entry["j"], dim, "j")
         _require(i < j, "brackets must be upper-triangular (i < j)")
-        _require((i, j) not in constants, f"duplicate bracket ({i}, {j})")
+        _require((i, j) not in pairs, "duplicate bracket ({}, {})", i, j)
+        pairs.add((i, j))
         _require(isinstance(entry["terms"], list) and entry["terms"],
                  "terms must be a nonempty list")
-        terms = []
         seen = set()
         for term in entry["terms"]:
-            _require(isinstance(term, dict) and set(term) == {"k", "num", "den"},
+            _require(isinstance(term, dict) and term.keys() == {"k", "num", "den"},
                      "each term needs exactly the keys k, num, den")
             k = _as_index(term["k"], dim, "k")
-            _require(k not in seen, f"duplicate output index {k} in bracket ({i}, {j})")
+            _require(k not in seen, "duplicate output index {} in bracket ({}, {})", k, i, j)
             seen.add(k)
             num, den = term["num"], term["den"]
             _require(type(num) is int and type(den) is int, "num and den must be integers")
             _require(num != 0, "zero terms must be omitted")
             _require(den >= 1, "den must be positive")
             _require(math.gcd(num, den) == 1, "fractions must be in lowest terms")
-            terms.append((k, Fraction(num, den)))
-        constants[(i, j)] = tuple(terms)
-    return NilpotentAlgebra(dim, constants)
+            terms.extend((i, j, k, num, den))
+    return NilpotentAlgebra._from_terms(dim, terms)
 
 
 def save_algebra(path: str, a: NilpotentAlgebra, metadata: dict | None = None) -> None:
@@ -196,15 +192,6 @@ def _parse_type(family: str, rank: int, bound: int) -> SimpleType:
     return t
 
 
-def _load_or_die(path: str) -> NilpotentAlgebra:
-    try:
-        return load_algebra(path)
-    except AlgebraFileError as exc:
-        raise CliError(2, str(exc)) from None
-    except (ValueError, TypeError) as exc:
-        raise CliError(2, f"invalid algebra data: {exc}") from None
-
-
 def _largest_nilradical_dim(bound: int) -> int:
     """Largest nilradical dimension among the types of rank <= bound.
 
@@ -221,7 +208,12 @@ def _load_within_bound(path: str, bound: int) -> NilpotentAlgebra:
     """Load a file whose dim is at most the largest nilradical dimension
     within the rank bound and whose dim^3 tensor of 8-byte entries fits
     in MAX_TENSOR_BYTES; both checks run before it is allocated."""
-    a = _load_or_die(path)
+    try:
+        a = load_algebra(path)
+    except AlgebraFileError as exc:
+        raise CliError(2, str(exc)) from None
+    except (ValueError, TypeError) as exc:
+        raise CliError(2, f"invalid algebra data: {exc}") from None
     largest = _largest_nilradical_dim(bound)
     if a.dim > largest:
         raise CliError(2, f"dim {a.dim} exceeds {largest}, the largest nilradical of "
@@ -317,7 +309,7 @@ def cmd_obfuscate(args) -> int:
         lower_central_series(a)
     except NotNilpotentError as exc:
         raise CliError(1, f"input is not nilpotent: {exc}") from None
-    b = change_basis(a, random_unimodular(a.dim, args.seed))
+    b = change_basis(a, random_unimodular_rows(a.dim, args.seed))
     save_algebra(args.out, b, metadata={"seed": args.seed})
     print(f"wrote obfuscated algebra (dim {b.dim}, seed {args.seed}) to {args.out}")
     return 0

@@ -167,7 +167,13 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def random_unimodular(d: int, seed: int, entry_bound: int = 2**10) -> Matrix:
-    """Deterministic pseudorandom integer matrix with determinant +-1.
+    """random_unimodular_rows(d, seed, entry_bound) as a rational Matrix."""
+    return Matrix.from_rows(random_unimodular_rows(d, seed, entry_bound))
+
+
+def random_unimodular_rows(d: int, seed: int, entry_bound: int = 2**10) -> list[list[int]]:
+    """Deterministic pseudorandom integer matrix with determinant +-1, as
+    integer rows (change_basis takes them as they are).
 
     Built from the identity by a bounded number of elementary row
     operations (swaps, negations, integer shears).  The inverse is
@@ -206,4 +212,4 @@ def random_unimodular(d: int, seed: int, entry_bound: int = 2**10) -> Matrix:
                 work[i] = candidate
                 for row, x in zip(inv, inv_candidate):
                     row[j] = x
-    return Matrix.from_rows(work)
+    return work

@@ -1,9 +1,9 @@
 """Nilpotent Lie algebras given by exact structure constants.
 
 The algebra is basis-agnostic: nothing in this module knows about
-roots.  Structure constants are held as one antisymmetric integer
-tensor over a common denominator; the sparse rational table for pairs
-i < j is a view of it for I/O.
+roots.  Structure constants are one antisymmetric integer tensor over
+a common denominator, which files are read into and written from; the
+sparse rational table for pairs i < j is a view of it.
 
 The lower central series takes one product and one row reduction per
 term, and is certified against the definition:
@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -38,31 +39,51 @@ from . import _intkernel as ik
 from .exactlin import Matrix, Subspace, vector
 
 Constants = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+# Nonzero constants c[i][j][k] = num / den, i < j, in lowest terms, den >= 1,
+# as one flat list i, j, k, num, den, i, j, k, num, den, ...
+Terms = list[int]
 
 
 class NotNilpotentError(Exception):
     """The given structure constants do not define a nilpotent algebra."""
 
 
-def _clean_constants(dim: int, constants) -> Constants:
-    clean: Constants = {}
-    for (i, j), terms in constants.items():
+def _validated_terms(dim: int, constants) -> Terms:
+    """The dict constructor's input as Terms: int and Fraction values are
+    read as they are, any other value through Fraction; zeros dropped."""
+    terms: Terms = []
+    for (i, j), values in constants.items():
         if not (0 <= i < j < dim):
             raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
-        seen = {}
-        for k, val in terms:
+        seen = set()
+        for k, val in values:
             if not (0 <= k < dim):
                 raise ValueError(f"bracket output index {k} out of range")
             if isinstance(val, float):
                 raise TypeError("floating point input is not allowed; use Fraction or int")
-            f = Fraction(val)
-            if f:
+            val = val if isinstance(val, (int, Fraction)) else Fraction(val)
+            if val:
                 if k in seen:
                     raise ValueError(f"duplicate output index {k} in bracket ({i}, {j})")
-                seen[k] = f
-        if seen:
-            clean[(i, j)] = tuple(sorted(seen.items()))
-    return clean
+                seen.add(k)
+                terms.extend((i, j, k, val.numerator, val.denominator))
+    return terms
+
+
+def _scatter(dim: int, terms: Terms) -> tuple[np.ndarray, int]:
+    """(T, scale) with T = scale * c antisymmetric and scale = lcm(den);
+    T is int64 when its entries are below 2^62, object otherwise."""
+    i, j, k = (np.array(terms[c::5], dtype=np.intp) for c in range(3))
+    num, den = terms[3::5], terms[4::5]
+    scale = math.lcm(1, *den)
+    v = np.array(num, dtype=object)
+    if scale > 1:
+        v = v * (scale // np.array(den, dtype=object))
+    v = v.astype(np.int64 if ik.max_abs(v) < ik._INT64_SAFE else object)
+    t = np.zeros((dim, dim, dim), dtype=v.dtype)
+    t[i, j, k] = v
+    t[j, i, k] = -v
+    return t, scale
 
 
 class NilpotentAlgebra:
@@ -70,19 +91,28 @@ class NilpotentAlgebra:
 
     The canonical form is the scaled integer tensor of int_tensor():
     T[i, j, k] = scale * c[i][j][k], scale the least common denominator
-    of the constants.  Equality and every computation read T.
-    ``constants`` is the sparse rational view used for I/O: keys (i, j)
-    with i < j, terms (k, Fraction) sorted by k.  An algebra given by
-    constants derives T on first use; one built from a tensor, as
-    change_basis does, builds the view only when it is read.
+    of the constants.  Equality and every computation read T.  The dict
+    constructor and the file loader (_from_terms) hold integer Terms,
+    scattered into T by the first int_tensor() call, so dim can be
+    bounded before the n^3 allocation; change_basis builds T directly
+    (_from_scaled).  Files are written from T (_nonzero_terms), and
+    ``constants``, the sparse rational view (keys (i, j) with i < j,
+    terms (k, Fraction) sorted by k), is built only when read.
     """
 
     def __init__(self, dim: int, constants):
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        self.dim = dim
-        self._constants: Constants | None = _clean_constants(dim, constants)
+        self.dim, self._terms = dim, _validated_terms(dim, constants)
+        self._constants: Constants | None = None
         self._cache: dict = {}
+
+    @classmethod
+    def _from_terms(cls, dim: int, terms: Terms | None) -> "NilpotentAlgebra":
+        """The algebra of validated Terms (dim >= 1)."""
+        a = cls.__new__(cls)
+        a.dim, a._terms, a._constants, a._cache = dim, terms, None, {}
+        return a
 
     @classmethod
     def _from_scaled(cls, w: np.ndarray, denom: int) -> "NilpotentAlgebra":
@@ -92,34 +122,39 @@ class NilpotentAlgebra:
         Dividing by g = gcd(denom, content(w)) leaves exactly the T and
         scale that int_tensor derives from the constants: the least
         common denominator of the reduced fractions w / denom is
-        denom / g.
+        denom / g.  T is cached as object ints and, below 2^62, as int64.
         """
-        n = w.shape[0]
         g = math.gcd(denom, int(np.gcd.reduce(w.ravel()))) if denom > 1 else 1
         if g != 1:
             w = w // g
         tmax = ik.max_abs(w)
-        a = cls.__new__(cls)
-        a.dim = n
-        a._constants = None
-        a._cache = {"tensor": (ik._as_object(w), denom // g, tmax)}
-        if w.dtype == np.int64 and tmax < ik._INT64_SAFE:
-            a._cache["tensor64"] = w.reshape(n, n * n)
+        a = cls._from_terms(w.shape[0], None)
+        a._cache = {"tensor": (ik._as_object(w), denom // g, tmax),
+                    "tensor64": ik._as_int64(w).reshape(a.dim, -1) if tmax < ik._INT64_SAFE else None}
         return a
 
     @property
     def constants(self) -> Constants:
         """The constants as a sparse dict, built from T on first read."""
         if self._constants is None:
-            t, scale, _ = self.int_tensor()
-            i, j, k = np.nonzero(t)  # row-major: keys and outputs ascend
-            keep = i < j
-            i, j, k = i[keep], j[keep], k[keep]
-            view: dict[tuple[int, int], list] = {}
-            for x, y, z, v in zip(i.tolist(), j.tolist(), k.tolist(), t[i, j, k].tolist()):
-                view.setdefault((x, y), []).append((z, Fraction(v, scale)))
-            self._constants = {key: tuple(terms) for key, terms in view.items()}
+            self._constants = {key: tuple((k, Fraction(p, q)) for _, _, k, p, q in run)
+                               for key, run in groupby(self._nonzero_terms(), lambda t: t[:2])}
         return self._constants
+
+    def _nonzero_terms(self) -> list[tuple[int, int, int, int, int]]:
+        """T's entries with i < j as (i, j, k, num, den) in row-major order
+        (keys and outputs ascending), reduced by one gcd against scale."""
+        t, scale, _ = self.int_tensor()
+        t64 = _flat_tensor64(self)
+        if t64 is not None and scale < ik._INT64_SAFE:
+            t = t64.reshape(t.shape)
+        i, j, k = np.nonzero(t)
+        keep = i < j
+        i, j, k = i[keep], j[keep], k[keep]
+        v = t[i, j, k]
+        g = np.gcd(v, scale)
+        return list(zip(i.tolist(), j.tolist(), k.tolist(), (v // g).tolist(),
+                        (scale // g).tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, NilpotentAlgebra) or self.dim != other.dim:
@@ -150,37 +185,18 @@ class NilpotentAlgebra:
         """Full antisymmetric tensor scaled to integers.
 
         Returns (T, scale, max_abs) with T[i, j, k] = scale * c[i][j][k],
-        T an object array of Python ints.
+        T an object array of Python ints.  Terms are scattered here, once.
         """
-        cached = self._cache.get("tensor")
-        if cached is not None:
-            return cached
-        n = self.dim
-        scale = 1
-        for terms in self._constants.values():
-            for _, v in terms:
-                scale = scale * v.denominator // math.gcd(scale, v.denominator)
-        t = np.zeros((n, n, n), dtype=object)
-        biggest = 0
-        for (i, j), terms in self._constants.items():
-            for k, v in terms:
-                x = int(v * scale)
-                t[i, j, k] = x
-                t[j, i, k] = -x
-                biggest = max(biggest, abs(x))
-        out = (t, scale, biggest)
-        self._cache["tensor"] = out
-        return out
+        if "tensor" not in self._cache:
+            self._cache = NilpotentAlgebra._from_scaled(*_scatter(self.dim, self._terms))._cache
+            self._terms = None
+        return self._cache["tensor"]
 
 
 def _flat_tensor64(a: NilpotentAlgebra) -> np.ndarray | None:
     """int_tensor's T reshaped to (n, n * n) in int64, or None when its
     entries may not fit; kept in the algebra's cache beside T."""
-    if "tensor64" not in a._cache:
-        n = a.dim
-        t, _, tmax = a.int_tensor()
-        small = tmax < ik._INT64_SAFE
-        a._cache["tensor64"] = t.reshape(n, n * n).astype(np.int64) if small else None
+    a.int_tensor()
     return a._cache["tensor64"]
 
 
@@ -190,22 +206,11 @@ def bracket(a: NilpotentAlgebra, x, y) -> tuple[Fraction, ...]:
     if len(xv) != a.dim or len(yv) != a.dim:
         raise ValueError("vector length does not match algebra dimension")
     out = [Fraction(0)] * a.dim
-    sx = [i for i, v in enumerate(xv) if v]
-    sy = [j for j, v in enumerate(yv) if v]
-    if len(sx) * len(sy) <= 2 * len(a.constants) + 8:
-        for i in sx:
-            for j in sy:
-                if i == j:
-                    continue
-                coef = xv[i] * yv[j]
-                for k, v in a.pair_terms(i, j):
-                    out[k] += coef * v
-    else:
-        for (i, j), terms in a.constants.items():
-            coef = xv[i] * yv[j] - xv[j] * yv[i]
-            if coef:
-                for k, v in terms:
-                    out[k] += coef * v
+    for (i, j), terms in a.constants.items():
+        coef = xv[i] * yv[j] - xv[j] * yv[i]
+        if coef:
+            for k, v in terms:
+                out[k] += coef * v
     return tuple(out)
 
 
@@ -452,13 +457,13 @@ def left_kernel(p: BilinearPairing) -> Subspace:
     return ik.null_space(rows, du).to_subspace()
 
 
-def change_basis(a: NilpotentAlgebra, m: Matrix) -> NilpotentAlgebra:
+def change_basis(a: NilpotentAlgebra, m: Matrix | list[list[int]]) -> NilpotentAlgebra:
     """Structure constants in the basis whose i-th vector is row i of m
-    expressed against the old basis."""
+    (a rational Matrix or integer rows) against the old basis."""
     n = a.dim
-    if m.rows != n or m.cols != n:
+    mi, ms = ik.scaled_int(m) if isinstance(m, Matrix) else (np.array(m, dtype=object), 1)
+    if mi.shape != (n, n):
         raise ValueError("change of basis matrix must be dim x dim")
-    mi, ms = ik.scaled_int(m)
     vi, vs = ik.scaled_inverse(mi, ms)  # raises ValueError when singular
     t, cs, tmax = a.int_tensor()
     t64 = _flat_tensor64(a)

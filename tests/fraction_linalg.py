@@ -5,10 +5,17 @@ Fraction arithmetic, the textbook way.  RowByRowRref: the scaled-integer
 echelon form built one row at a time with Python-int arithmetic, the
 engine that lienil._intkernel.ScaledRref replaced by modular reduction.
 Nothing here shares code with lienil's elimination.
+
+The Fraction loader: clean_constants, payload_constants and int_tensor
+read structure constants into Fractions and scale them term by term,
+the way lienil did before its loader and dict constructor built the
+scaled integer tensor directly.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from lienil.exactlin import Matrix, Subspace
 
@@ -143,3 +150,53 @@ class RowByRowRref:
     def insert_rows(self, rows) -> int:
         """Insert each row in turn; returns the dimension growth."""
         return sum(self.insert(r) for r in rows)
+
+
+def clean_constants(dim: int, constants) -> dict:
+    """The dict constructor's checks, with every value made a Fraction:
+    terms sorted by k, zero terms and empty brackets dropped."""
+    clean = {}
+    for (i, j), terms in constants.items():
+        if not (0 <= i < j < dim):
+            raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
+        seen = {}
+        for k, val in terms:
+            if not (0 <= k < dim):
+                raise ValueError(f"bracket output index {k} out of range")
+            if isinstance(val, float):
+                raise TypeError("floating point input is not allowed; use Fraction or int")
+            f = Fraction(val)
+            if f:
+                if k in seen:
+                    raise ValueError(f"duplicate output index {k} in bracket ({i}, {j})")
+                seen[k] = f
+        if seen:
+            clean[(i, j)] = tuple(sorted(seen.items()))
+    return clean
+
+
+def payload_constants(payload: dict) -> tuple[int, dict]:
+    """(dim, constants) of a valid interchange payload, one Fraction per
+    term."""
+    constants = {}
+    for entry in payload["brackets"]:
+        terms = [(t["k"], Fraction(t["num"], t["den"])) for t in entry["terms"]]
+        constants[(entry["i"], entry["j"])] = tuple(terms)
+    return payload["dim"], clean_constants(payload["dim"], constants)
+
+
+def int_tensor(dim: int, constants: dict) -> tuple[np.ndarray, int, int]:
+    """(T, scale, max |T|) of cleaned constants, T an object array with
+    T[i, j, k] = scale * c[i][j][k], scale the lcm of the denominators."""
+    scale = 1
+    for terms in constants.values():
+        for _, v in terms:
+            scale = scale * v.denominator // math.gcd(scale, v.denominator)
+    t = np.zeros((dim, dim, dim), dtype=object)
+    biggest = 0
+    for (i, j), terms in constants.items():
+        for k, v in terms:
+            x = int(v * scale)
+            t[i, j, k], t[j, i, k] = x, -x
+            biggest = max(biggest, abs(x))
+    return t, scale, biggest

@@ -3,17 +3,22 @@ the JSON interchange schema, and the exit-code contract (0 success,
 1 semantic rejection, 2 malformed input)."""
 
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fraction_linalg as oracle
 from lienil import cli
 from lienil.chevalley import nilradical
 from lienil.exactlin import Matrix, random_unimodular
 from lienil.fingerprint import simple_dimension
-from lienil.nilalg import NilpotentAlgebra, change_basis
+from lienil.nilalg import NilpotentAlgebra, _flat_tensor64, change_basis
 from lienil.rootsys import SimpleType, all_types, build_root_system
 
 
@@ -90,6 +95,65 @@ def test_payload_fractions_in_lowest_terms():
 def test_payload_rejects_schema_violations(payload):
     with pytest.raises(cli.AlgebraFileError):
         cli.algebra_from_payload(payload)
+
+
+@st.composite
+def payloads(draw):
+    """Valid payloads of dims 1-6: lowest-terms constants either small
+    (the int64 route) or with num and den up to 2^80 (object route when
+    the scaled entries pass 2^62), brackets and terms in any order."""
+    dim = draw(st.integers(1, 6))
+    bound = draw(st.sampled_from([12, 2**80]))
+    brackets = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            terms = []
+            for k in draw(st.lists(st.integers(0, dim - 1), max_size=3, unique=True)):
+                num = draw(st.integers(-bound, bound).filter(bool))
+                den = draw(st.integers(1, bound))
+                g = math.gcd(num, den)
+                terms.append({"k": k, "num": num // g, "den": den // g})
+            if terms:
+                brackets.append({"i": i, "j": j, "terms": terms})
+    payload = {"format_version": 1, "dim": dim, "brackets": draw(st.permutations(brackets))}
+    if draw(st.booleans()):
+        payload["metadata"] = {"seed": 1}
+    return payload
+
+
+def oracle_payload(dim: int, constants: dict) -> dict:
+    """The file contents written from the Fraction constants view."""
+    return {"format_version": 1, "dim": dim, "brackets": [
+        {"i": i, "j": j, "terms": [{"k": k, "num": v.numerator, "den": v.denominator}
+                                   for k, v in constants[(i, j)]]}
+        for i, j in sorted(constants)]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(payloads())
+@example({"format_version": 1, "dim": 1, "brackets": []})
+@example({"format_version": 1, "dim": 3, "brackets": [
+    {"i": 0, "j": 1, "terms": [{"k": 2, "num": -1, "den": 2}]},
+    {"i": 1, "j": 2, "terms": [{"k": 0, "num": 3, "den": 1}]}]})
+@example({"format_version": 1, "dim": 3, "brackets": [
+    {"i": 1, "j": 2, "terms": [{"k": 0, "num": -(2**62), "den": 1}]},
+    {"i": 0, "j": 1, "terms": [{"k": 2, "num": 2**62 - 1, "den": 1}]}]})
+@example({"format_version": 1, "dim": 3, "brackets": [
+    {"i": 0, "j": 1, "terms": [{"k": 2, "num": 1, "den": 2**70}, {"k": 0, "num": 3, "den": 5}]}]})
+def test_loader_matches_fraction_loader(payload):
+    a = cli.algebra_from_payload(payload)
+    dim, constants = oracle.payload_constants(payload)
+    want_t, want_scale, want_max = oracle.int_tensor(dim, constants)
+    got_t, got_scale, got_max = a.int_tensor()
+    assert (got_scale, got_max) == (want_scale, want_max)
+    assert got_t.dtype == object and np.array_equal(got_t, want_t)
+    t64 = _flat_tensor64(a)
+    assert (t64 is not None) == (want_max < 2**62)
+    if t64 is not None:
+        assert t64.dtype == np.int64 and np.array_equal(t64, want_t.reshape(dim, -1))
+    assert a == NilpotentAlgebra(dim, constants)
+    assert a.constants == constants
+    assert cli.algebra_to_payload(a) == oracle_payload(dim, constants)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -250,6 +314,30 @@ def test_obfuscate_requires_seed(tmp_path, capsys):
         cli.main(["obfuscate", str(src), "-o", str(tmp_path / "o.json")])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_obfuscate_and_identify_build_no_fraction(tmp_path, capsys, monkeypatch):
+    # Files are read into, and written from, the scaled integer tensor;
+    # Fractions remain only in the constants view and the claim checks.
+    path = tmp_path / "b4.json"
+    assert run(["emit", "B", "4", "-o", str(path)], capsys)[0] == 0
+    built = 0
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(F, "__new__", staticmethod(counting_new))
+        for seed in (1, 2, 3):
+            code = cli.main(["obfuscate", str(path), "--seed", str(seed), "-o", str(path)])
+            assert (code, built) == (0, 0)
+        code = cli.main(["identify", str(path)])
+        assert (code, built) == (0, 0)
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["canonical"] == "B4"
 
 
 def test_identify_round_trip_via_files(tmp_path, capsys):

@@ -126,6 +126,61 @@ def test_int_tensor_cached_and_scaled():
     assert a.int_tensor() is a.int_tensor()
 
 
+@st.composite
+def constant_dicts(draw):
+    """(dim, constants) for the dict constructor: int or Fraction values,
+    zeros among them (a zero may repeat an output index), small or up
+    to 2^80."""
+    dim = draw(st.integers(1, 6))
+    bound = draw(st.sampled_from([12, 2**80]))
+    value = st.one_of(st.integers(-bound, bound),
+                      st.builds(F, st.integers(-bound, bound), st.integers(1, bound)))
+    constants = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            ks = draw(st.lists(st.integers(0, dim - 1), max_size=3, unique=True))
+            terms = [(k, draw(value)) for k in ks]
+            if terms and draw(st.booleans()):
+                terms.append((terms[0][0], 0))
+            if terms or draw(st.booleans()):
+                constants[(i, j)] = tuple(draw(st.permutations(terms)))
+    return dim, constants
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(constant_dicts(), st.data())
+def test_dict_constructor_matches_fraction_oracle(case, data):
+    dim, constants = case
+    a = NilpotentAlgebra(dim, constants)
+    clean = oracle.clean_constants(dim, constants)
+    want_t, want_scale, want_max = oracle.int_tensor(dim, clean)
+    got_t, got_scale, got_max = a.int_tensor()
+    assert (got_scale, got_max) == (want_scale, want_max)
+    assert got_t.dtype == object and np.array_equal(got_t, want_t)
+    assert (_flat_tensor64(a) is not None) == (want_max < ik._INT64_SAFE)
+    assert a.constants == clean
+
+    # One fault, the same error as the oracle's: a float, an output
+    # index out of range, a repeated nonzero output, or a bad key.
+    key = data.draw(st.sampled_from(sorted(constants) + [(0, 0), (1, 0), (0, dim)]))
+    terms = list(constants.get(key, ()))
+    k = data.draw(st.integers(0, dim - 1))
+    repeat = [(k0, 1) for k0, v in terms if v][:1]
+    fault = data.draw(st.sampled_from([(k, 0.5), (dim, 1), (-1, 1)] + repeat))
+    bad = dict(constants)
+    bad[key] = tuple(terms) + (fault,)
+    want = _raised(oracle.clean_constants, dim, bad)
+    assert want is not None and _raised(NilpotentAlgebra, dim, bad) == want
+
+
 # ------------------------------------------------------------------- bracket
 
 
