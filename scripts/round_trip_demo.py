@@ -9,12 +9,15 @@ number of residue primes the Jacobi check used.  The load is timed
 with the first int_tensor() call, which builds the integer tensor.  The series and the
 graded algebra are timed on their own, and identify is handed the
 graded algebra, so the identify time is the rest of identification.
+The last line is the process's peak resident set size.
 
     PYTHONPATH=src python scripts/round_trip_demo.py E8 --seed 101
 """
 
 import argparse
 import os
+import resource
+import sys
 import tempfile
 import time
 
@@ -73,6 +76,9 @@ def main() -> None:
           + f" ({t6 - t5:.3f}s)")
     assert ident == identify(a), "round trip disagrees with the canonical answer"
     print("matches the canonical identification")
+    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(f"peak RSS: {rss / (2**20 if sys.platform == 'darwin' else 2**10):.1f} MiB")
 
 
 if __name__ == "__main__":

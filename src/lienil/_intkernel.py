@@ -1,10 +1,12 @@
 """Exact integer kernels: matrix products and the one row-reduction engine.
 
-All arithmetic is integer-exact.  Bulk products run on float64 BLAS
-when an a-priori bound keeps every partial dot product below 2^53, on
-numpy int64 below 2^62, and otherwise on object arrays of Python ints,
-so every route gives the same result.  Residue products modulo a
-word-size prime run on float64 BLAS, exact under residue_matmul's bound.
+All arithmetic is integer-exact.  This module alone decides how an
+integer array is held: compact() gives int64 when every entry is below
+2^62 and Python ints (object dtype) otherwise.  Bulk products run on
+float64 BLAS when an a-priori bound keeps every partial dot product
+below 2^53, on numpy int64 below 2^62, and otherwise on Python ints, so
+every route gives the same result.  Residue products modulo a word-size
+prime run on float64 BLAS, exact under residue_matmul's bound.
 
 ScaledRref is the package's only row reduction: the lower central
 series, graded pairings and their kernels, scaled_inverse, and
@@ -51,6 +53,10 @@ def _primes_descending(top: int, span: int) -> tuple[int, ...]:
 PRIMES = _primes_descending(2**21, 2**15)
 
 
+class PrimesExhausted(ValueError):
+    """An exact result needs more residue primes than PRIMES holds."""
+
+
 def primes_exceeding(bound: int) -> tuple[int, ...]:
     """The shortest prefix of PRIMES whose product exceeds bound.
 
@@ -60,7 +66,7 @@ def primes_exceeding(bound: int) -> tuple[int, ...]:
     prod, k = 1, 0
     while prod <= bound:
         if k == len(PRIMES):
-            raise ValueError(f"a {bound.bit_length()}-bit bound exceeds the product "
+            raise PrimesExhausted(f"a {bound.bit_length()}-bit bound exceeds the product "
                              f"of all {k} residue primes")
         prod *= PRIMES[k]
         k += 1
@@ -110,15 +116,22 @@ def _as_int64(a: np.ndarray) -> np.ndarray:
     return a if a.dtype == np.int64 else a.astype(np.int64)
 
 
-def exact_matmul(a: np.ndarray, b: np.ndarray, a_max: int | None = None,
-                 b_max: int | None = None, b64: np.ndarray | None = None,
-                 box: bool = True) -> np.ndarray:
-    """a @ b with exact integer results, on BLAS or int64 when safe.
+def compact(a: np.ndarray, a_max: int) -> np.ndarray:
+    """The integer array a, whose largest absolute entry is a_max, in
+    int64 when a_max is below 2^62 and as Python ints otherwise."""
+    return _as_int64(a) if a_max < _INT64_SAFE else _as_object(a)
 
-    b64 may hold a pre-converted int64 copy of b to spare repeated
-    conversions.  With box=False the accelerated paths return the raw
-    int64 product; callers must then box entries (astype to object)
-    before mixing them into unbounded arithmetic.
+
+def exact_matmul(a: np.ndarray, b: np.ndarray, a_max: int | None = None,
+                 b_max: int | None = None) -> np.ndarray:
+    """a @ b with exact integer results, for int64 or object matrices
+    whose largest absolute entries are a_max and b_max (computed when
+    not given).
+
+    When inner * a_max * b_max is below 2^62 the product runs, and is
+    returned, in int64 (on float64 BLAS below 2^53); otherwise it runs
+    on Python ints.  Arithmetic that mixes an int64 result with an
+    object array promotes it to Python ints, so callers never box.
     """
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=object)
@@ -128,8 +141,7 @@ def exact_matmul(a: np.ndarray, b: np.ndarray, a_max: int | None = None,
         b_max = max_abs(b)
     bound = a.shape[1] * a_max * b_max
     if a_max and b_max and bound < _INT64_SAFE:
-        out = _int64_matmul(_as_int64(a), b64 if b64 is not None else _as_int64(b), bound)
-        return out.astype(object) if box else out
+        return _int64_matmul(_as_int64(a), _as_int64(b), bound)
     return _as_object(a) @ _as_object(b)
 
 
@@ -231,7 +243,7 @@ def _reconstruct(res: np.ndarray, m: int, piv: list[int], ambient: int) -> "Scal
             dens[i] *= abs(t1)
     g = np.gcd.reduce(y, axis=1) if len(piv) else dens
     e = ScaledRref(ambient)
-    e.pivots, e.nums, e.dens = list(piv), list(_as_object(y // g[:, None])), (dens // g).tolist()
+    e.pivots, e.nums, e.dens = list(piv), _as_object(y // g[:, None]), (dens // g).tolist()
     return e
 
 
@@ -263,14 +275,15 @@ def _certified_rref(rows: np.ndarray, ambient: int) -> "ScaledRref":
                 return cand
             if not bad[sel].any():
                 base = None  # r fell short of the rank: the base prime was unlucky
-    raise ValueError(f"row reduction needs more than the {len(PRIMES)} residue primes")
+    raise PrimesExhausted(f"row reduction needs more than the {len(PRIMES)} residue primes")
 
 
 class ScaledRref:
     """Canonical reduced row echelon form with scaled-integer rows.
 
-    Row r represents nums[r] / dens[r]: it reads 1 at its own pivot
-    column, 0 at every other pivot column, and gcd(content, den) = 1.
+    nums is one integer array with a row per pivot; row r represents
+    nums[r] / dens[r]: it reads 1 at its own pivot column, 0 at every
+    other pivot column, and gcd(content, den) = 1.
     Because stored rows are fully reduced against each other, reducing
     a vector is a single linear combination rather than an elimination
     cascade, so entry sizes track the canonical basis itself and bulk
@@ -280,21 +293,21 @@ class ScaledRref:
     def __init__(self, ambient: int):
         self.ambient = ambient
         self.pivots: list[int] = []
-        self.nums: list[np.ndarray] = []
+        self.nums = np.zeros((0, ambient), dtype=object)
         self.dens: list[int] = []
         self._cache: tuple | None = None
 
     @staticmethod
     def full(ambient: int) -> "ScaledRref":
         e = ScaledRref(ambient)
-        e.pivots, e.nums, e.dens = list(range(ambient)), list(np.eye(ambient, dtype=object)), [1] * ambient
+        e.pivots, e.nums, e.dens = list(range(ambient)), np.eye(ambient, dtype=object), [1] * ambient
         return e
 
     def __eq__(self, other) -> bool:
         """Equal row spaces: the reduced echelon form is canonical."""
         return (isinstance(other, ScaledRref) and self.ambient == other.ambient
                 and self.pivots == other.pivots and self.dens == other.dens
-                and all(np.array_equal(x, y) for x, y in zip(self.nums, other.nums)))
+                and np.array_equal(self.nums, other.nums))
 
     @property
     def dim(self) -> int:
@@ -306,18 +319,14 @@ class ScaledRref:
         every residual."""
         return self._scaled()[2]
 
-    def _scaled(self) -> tuple[np.ndarray, np.ndarray, int, int, np.ndarray | None]:
-        """(pivot columns, common-denominator numerators, denominator,
-        max entry, int64 copy of the numerators when they fit)."""
+    def _scaled(self) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """(pivot columns, common-denominator numerators in compact
+        dtype, denominator, max entry)."""
         if self._cache is None:
             d = math.lcm(1, *self.dens)
-            rnum = np.zeros((0, self.ambient), dtype=object)
-            if self.nums:
-                rnum = np.stack([num if den == d else num * (d // den)
-                                 for num, den in zip(self.nums, self.dens)])
+            rnum = self.nums * (d // np.array(self.dens, dtype=object)).reshape(-1, 1)
             rmax = max_abs(rnum)
-            rnum64 = rnum.astype(np.int64) if rmax < _INT64_SAFE else None
-            self._cache = (np.array(self.pivots, dtype=np.intp), rnum, d, rmax, rnum64)
+            self._cache = (np.array(self.pivots, dtype=np.intp), compact(rnum, rmax), d, rmax)
         return self._cache
 
     def residuals(self, mat: np.ndarray, mat_max: int | None = None) -> np.ndarray:
@@ -325,18 +334,19 @@ class ScaledRref:
 
         A row of mat lies in the span iff its residual row is zero; the
         scaling by the common denominator d keeps everything integral.
-        The accelerated paths return a raw int64 array, so callers must
-        box entries before unbounded arithmetic.
+        The result is int64 when the bound (d + k * rmax) * mat_max is
+        below 2^62, so that rnum is int64 too, and Python ints otherwise,
+        as in exact_matmul.
         """
         if mat.shape[0] == 0 or not self.pivots:
             return mat
-        piv, rnum, d, rmax, rnum64 = self._scaled()
+        piv, rnum, d, rmax = self._scaled()
         if mat_max is None:
             mat_max = max_abs(mat)
         k = len(self.pivots)
-        if mat_max and rnum64 is not None and (d + k * rmax) * mat_max < _INT64_SAFE:
+        if mat_max and (d + k * rmax) * mat_max < _INT64_SAFE:
             m64 = _as_int64(mat)
-            out = _int64_matmul(m64[:, piv], rnum64, k * rmax * mat_max)
+            out = _int64_matmul(m64[:, piv], rnum, k * rmax * mat_max)
             return np.subtract(d * m64, out, out=out)
         mo = _as_object(mat)
         return d * mo - mo[:, piv] @ rnum
@@ -355,31 +365,24 @@ class ScaledRref:
             return 0
         new = _certified_rref(res, self.ambient)
         if self.pivots:
-            _, snum, sd, smax, _ = new._scaled()
-            old = np.stack(self.nums)
-            old = old * sd - exact_matmul(old[:, new.pivots], snum, b_max=smax)
+            _, snum, sd, smax = new._scaled()
+            old = self.nums * sd - exact_matmul(self.nums[:, new.pivots], snum, b_max=smax)
             g = np.gcd.reduce(old, axis=1)  # includes the pivot entry, den * sd
-            pivots, nums = self.pivots + new.pivots, list(old // g[:, None]) + new.nums
+            pivots = self.pivots + new.pivots
             dens = (np.array(self.dens, dtype=object) * sd // g).tolist() + new.dens
             at = np.argsort(pivots)
-            new.pivots = [pivots[i] for i in at]
-            new.nums, new.dens = [nums[i] for i in at], [dens[i] for i in at]
+            new.pivots, new.dens = [pivots[i] for i in at], [dens[i] for i in at]
+            new.nums = np.vstack([old // g[:, None], new.nums])[at]
             new._cache = None
         added = new.dim - self.dim
         self.pivots, self.nums, self.dens, self._cache = new.pivots, new.nums, new.dens, new._cache
         return added
 
-    def basis_matrix(self) -> np.ndarray:
-        """Integer rows spanning the space (canonical rows rescaled)."""
-        if not self.nums:
-            return np.zeros((0, self.ambient), dtype=object)
-        return np.stack(self.nums)
-
     def to_subspace(self) -> exactlin.Subspace:
         """The span as a canonical rational subspace; the stored rows
         already form the reduced echelon basis, so this is one exact
         division per entry."""
-        if not self.nums:
+        if not self.pivots:
             return exactlin.Subspace.zero(self.ambient)
         rows = [
             tuple(Fraction(int(x), den) for x in num)
@@ -402,7 +405,7 @@ def null_space(m: np.ndarray, cols: int) -> ScaledRref:
     column f gives the vector that is 1 at f, 0 at the other free columns
     and -row_r[f] at c_r (zero unless c_r > f), so it leads at f and is 0
     at the others' leading columns: the reduced echelon basis already."""
-    piv, rnum, d, _, _ = rref_from_rows(m[:, ::-1], cols)._scaled()
+    piv, rnum, d, _ = rref_from_rows(m[:, ::-1], cols)._scaled()
     piv, rnum = cols - 1 - piv, rnum[:, ::-1]
     free = np.setdiff1d(np.arange(cols), piv)
     vecs = np.zeros((free.size, cols), dtype=object)
@@ -410,13 +413,14 @@ def null_space(m: np.ndarray, cols: int) -> ScaledRref:
     vecs[:, piv] = -rnum[:, free].T
     g = np.gcd.reduce(vecs, axis=1)  # includes the leading d
     e = ScaledRref(cols)
-    e.pivots, e.nums, e.dens = free.tolist(), list(vecs // g[:, None]), (d // g).tolist()
+    e.pivots, e.nums, e.dens = free.tolist(), vecs // g[:, None], (d // g).tolist()
     return e
 
 
 def scaled_inverse(mi: np.ndarray, s: int) -> tuple[np.ndarray, int]:
     """(V, d) with V / d the inverse of the square matrix mi / s, for
-    an integer matrix mi; V holds Python ints.
+    an integer matrix mi; V is int64 when its entries are below 2^62
+    and Python ints otherwise (compact).
 
     [mi | s * I] reduces to [I | (mi / s)^-1]: V is the right half of
     the reduced rows over their common denominator d.  The rank is
@@ -426,5 +430,5 @@ def scaled_inverse(mi: np.ndarray, s: int) -> tuple[np.ndarray, int]:
     red = rref_from_rows(np.hstack([mi, s * np.eye(n, dtype=object)]), 2 * n)
     if red.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    _, rnum, d, _, _ = red._scaled()
+    _, rnum, d, _ = red._scaled()
     return rnum[:, n:], d

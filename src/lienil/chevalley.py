@@ -142,12 +142,11 @@ def verify_jacobi(a: NilpotentAlgebra) -> JacobiReport:
     """
     n = a.dim
     primes = jacobi_primes(a)
-    t, _, tmax = a.int_tensor()
-    whole = t.astype(np.int64) if tmax < ik._INT64_SAFE else t
+    t, _, _ = a.int_tensor()
     flagged = np.zeros((n, n, n), dtype=bool)
     side = max(1, math.isqrt(_TILE_ENTRIES // (n * n)))
     for p in primes:
-        r = np.remainder(whole, p).astype(np.float64)
+        r = np.remainder(t, p).astype(np.float64)
         for x0 in range(0, n, side):
             xs = slice(x0, x0 + side)
             for y0 in range(x0, n, side):

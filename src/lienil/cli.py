@@ -8,7 +8,8 @@ exactness survives serialization.  Exit codes are uniform across
 subcommands: 0 success, 1 semantic rejection (not nilpotent, no type
 matches, failed claims), 2 malformed input (bad arguments, unreadable
 or invalid files, Jacobi violations, rank bound exceeded, a dim above
-every nilradical within the rank bound).
+every nilradical within the rank bound, constants too large for the
+residue primes).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby
 
+from ._intkernel import PrimesExhausted
 from .chevalley import nilradical, verify_jacobi
 from .exactlin import Matrix, Subspace, random_unimodular, random_unimodular_rows
 from .fingerprint import (
@@ -318,10 +320,7 @@ def cmd_obfuscate(args) -> int:
 def cmd_identify(args) -> int:
     bound = _rank_bound()
     a = _load_within_bound(args.file, bound)
-    try:
-        report = verify_jacobi(a)
-    except ValueError as exc:
-        raise CliError(2, f"structure constants too large to check: {exc}") from None
+    report = verify_jacobi(a)
     if not report.ok:
         first = ", ".join(str(v) for v in report.violations[:3])
         raise CliError(2, f"Jacobi identity fails on {len(report.violations)} "
@@ -649,6 +648,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except PrimesExhausted as exc:
+        print(f"error: structure constants too large: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -71,15 +71,15 @@ def _validated_terms(dim: int, constants) -> Terms:
 
 
 def _scatter(dim: int, terms: Terms) -> tuple[np.ndarray, int]:
-    """(T, scale) with T = scale * c antisymmetric and scale = lcm(den);
-    T is int64 when its entries are below 2^62, object otherwise."""
+    """(T, scale) with T = scale * c antisymmetric and scale = lcm(den),
+    T in compact dtype (_intkernel.compact)."""
     i, j, k = (np.array(terms[c::5], dtype=np.intp) for c in range(3))
     num, den = terms[3::5], terms[4::5]
     scale = math.lcm(1, *den)
     v = np.array(num, dtype=object)
     if scale > 1:
         v = v * (scale // np.array(den, dtype=object))
-    v = v.astype(np.int64 if ik.max_abs(v) < ik._INT64_SAFE else object)
+    v = ik.compact(v, ik.max_abs(v))
     t = np.zeros((dim, dim, dim), dtype=v.dtype)
     t[i, j, k] = v
     t[j, i, k] = -v
@@ -91,13 +91,15 @@ class NilpotentAlgebra:
 
     The canonical form is the scaled integer tensor of int_tensor():
     T[i, j, k] = scale * c[i][j][k], scale the least common denominator
-    of the constants.  Equality and every computation read T.  The dict
-    constructor and the file loader (_from_terms) hold integer Terms,
-    scattered into T by the first int_tensor() call, so dim can be
-    bounded before the n^3 allocation; change_basis builds T directly
-    (_from_scaled).  Files are written from T (_nonzero_terms), and
-    ``constants``, the sparse rational view (keys (i, j) with i < j,
-    terms (k, Fraction) sorted by k), is built only when read.
+    of the constants, held once, in compact dtype: int64 when every
+    entry is below 2^62, Python ints otherwise.  Equality and every
+    computation read T.  The dict constructor and the file loader
+    (_from_terms) hold integer Terms, scattered into T by the first
+    int_tensor() call, so dim can be bounded before the n^3
+    allocation; change_basis builds T directly (_from_scaled).  Files
+    are written from T (_nonzero_terms), and ``constants``, the sparse
+    rational view (keys (i, j) with i < j, terms (k, Fraction) sorted
+    by k), is built only when read.
     """
 
     def __init__(self, dim: int, constants):
@@ -105,13 +107,13 @@ class NilpotentAlgebra:
             raise ValueError("dimension must be at least 1")
         self.dim, self._terms = dim, _validated_terms(dim, constants)
         self._constants: Constants | None = None
-        self._cache: dict = {}
+        self._tensor: tuple[np.ndarray, int, int] | None = None
 
     @classmethod
     def _from_terms(cls, dim: int, terms: Terms | None) -> "NilpotentAlgebra":
         """The algebra of validated Terms (dim >= 1)."""
         a = cls.__new__(cls)
-        a.dim, a._terms, a._constants, a._cache = dim, terms, None, {}
+        a.dim, a._terms, a._constants, a._tensor = dim, terms, None, None
         return a
 
     @classmethod
@@ -122,15 +124,14 @@ class NilpotentAlgebra:
         Dividing by g = gcd(denom, content(w)) leaves exactly the T and
         scale that int_tensor derives from the constants: the least
         common denominator of the reduced fractions w / denom is
-        denom / g.  T is cached as object ints and, below 2^62, as int64.
+        denom / g.  T is kept in compact dtype (_intkernel.compact).
         """
         g = math.gcd(denom, int(np.gcd.reduce(w.ravel()))) if denom > 1 else 1
         if g != 1:
             w = w // g
         tmax = ik.max_abs(w)
         a = cls._from_terms(w.shape[0], None)
-        a._cache = {"tensor": (ik._as_object(w), denom // g, tmax),
-                    "tensor64": ik._as_int64(w).reshape(a.dim, -1) if tmax < ik._INT64_SAFE else None}
+        a._tensor = ik.compact(w, tmax), denom // g, tmax
         return a
 
     @property
@@ -144,14 +145,11 @@ class NilpotentAlgebra:
     def _nonzero_terms(self) -> list[tuple[int, int, int, int, int]]:
         """T's entries with i < j as (i, j, k, num, den) in row-major order
         (keys and outputs ascending), reduced by one gcd against scale."""
-        t, scale, _ = self.int_tensor()
-        t64 = _flat_tensor64(self)
-        if t64 is not None and scale < ik._INT64_SAFE:
-            t = t64.reshape(t.shape)
+        t, scale, tmax = self.int_tensor()
         i, j, k = np.nonzero(t)
         keep = i < j
         i, j, k = i[keep], j[keep], k[keep]
-        v = t[i, j, k]
+        v = ik.compact(t[i, j, k], max(tmax, scale))  # np.gcd needs scale in v's dtype
         g = np.gcd(v, scale)
         return list(zip(i.tolist(), j.tolist(), k.tolist(), (v // g).tolist(),
                         (scale // g).tolist()))
@@ -166,38 +164,23 @@ class NilpotentAlgebra:
     def __repr__(self) -> str:
         return f"NilpotentAlgebra({self.dim}, {self.constants!r})"
 
-    def pair_terms(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
-        """Terms of [e_i, e_j] for any i != j, antisymmetry applied."""
-        if i < j:
-            return self.constants.get((i, j), ())
-        return tuple((k, -v) for k, v in self.constants.get((j, i), ()))
-
     def bracket_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays (i, j) of the pairs i < j with [e_i, e_j] != 0,
         in row-major order, read from the tensor."""
-        n = self.dim
-        t64 = _flat_tensor64(self)
-        t = t64 if t64 is not None else self.int_tensor()[0]
-        nonzero = (t.reshape(n, n, n) != 0).any(axis=2)
+        nonzero = (self.int_tensor()[0] != 0).any(axis=2)
         return np.nonzero(np.triu(nonzero, 1))
 
     def int_tensor(self) -> tuple[np.ndarray, int, int]:
         """Full antisymmetric tensor scaled to integers.
 
         Returns (T, scale, max_abs) with T[i, j, k] = scale * c[i][j][k],
-        T an object array of Python ints.  Terms are scattered here, once.
+        T int64 when max_abs is below 2^62 and Python ints otherwise
+        (_intkernel.compact).  Terms are scattered here, once.
         """
-        if "tensor" not in self._cache:
-            self._cache = NilpotentAlgebra._from_scaled(*_scatter(self.dim, self._terms))._cache
+        if self._tensor is None:
+            self._tensor = NilpotentAlgebra._from_scaled(*_scatter(self.dim, self._terms))._tensor
             self._terms = None
-        return self._cache["tensor"]
-
-
-def _flat_tensor64(a: NilpotentAlgebra) -> np.ndarray | None:
-    """int_tensor's T reshaped to (n, n * n) in int64, or None when its
-    entries may not fit; kept in the algebra's cache beside T."""
-    a.int_tensor()
-    return a._cache["tensor64"]
+        return self._tensor
 
 
 def bracket(a: NilpotentAlgebra, x, y) -> tuple[Fraction, ...]:
@@ -249,26 +232,24 @@ def _direct_series(a: NilpotentAlgebra) -> Filtration | None:
     """Certified fast path; None means fall back to the definition."""
     n = a.dim
     t, _, tmax = a.int_tensor()
-    tflat, tflat64 = t.reshape(n, n * n), _flat_tensor64(a)
-    t3 = t if tflat64 is None else tflat64.reshape(n, n, n)  # int64 rows reduce faster
 
     f2 = ik.ScaledRref(n)
     i, j = a.bracket_pairs()
     if i.size:
-        f2.insert_rows(t3[i, j])
+        f2.insert_rows(t[i, j])
     if f2.dim == n:
         raise NotNilpotentError("derived subalgebra is the whole algebra")
 
     # t_gen[b, g*n + c] = t[b, gen[g], c], so u @ t_gen reshaped to
     # (rows * gens, n) lists the brackets [row, generator] batchwise.
     gen = np.setdiff1d(np.arange(n), f2.pivots)
-    terms = _iterate([ik.ScaledRref.full(n), f2], t3[:, gen, :].reshape(n, gen.size * n), tmax)
+    terms = _iterate([ik.ScaledRref.full(n), f2], t[:, gen, :].reshape(n, gen.size * n), tmax)
 
     for cur, nxt in zip(terms[1:], terms[2:]):
-        if cur.residuals(nxt.basis_matrix()).any():
+        if cur.residuals(nxt.nums).any():
             return None
         p, _ = _complement(cur, nxt)
-        rows = ik.exact_matmul(p, tflat, ik.max_abs(p), tmax, b64=tflat64, box=False)
+        rows = ik.exact_matmul(p, t.reshape(n, n * n), ik.max_abs(p), tmax)
         if nxt.residuals(rows.reshape(p.shape[0] * n, n)).any():
             return None
     return Filtration(tuple(terms))
@@ -278,21 +259,18 @@ def _definitional_series(a: NilpotentAlgebra) -> Filtration:
     """N^{i+1} as the literal span of [basis(N^i), e_j] at every step."""
     n = a.dim
     t, _, tmax = a.int_tensor()
-    tflat64 = _flat_tensor64(a)
-    table = t.reshape(n, n * n) if tflat64 is None else tflat64
-    return Filtration(tuple(_iterate([ik.ScaledRref.full(n)], table, tmax)))
+    return Filtration(tuple(_iterate([ik.ScaledRref.full(n)], t.reshape(n, n * n), tmax)))
 
 
 def _iterate(terms: list[ik.ScaledRref], table: np.ndarray, tmax: int) -> list[ik.ScaledRref]:
     """Append the span of basis(terms[-1]) @ table, as rows of length n,
-    until it is zero; see the module docstring for the two raises.
-    table is int64 when its entries fit, object otherwise."""
+    until it is zero; see the module docstring for the two raises."""
     n = terms[0].ambient
     while terms[-1].dim:
         if len(terms) > n + 1:
             raise NotNilpotentError("lower central series does not terminate")
-        u = terms[-1].basis_matrix()
-        prod = ik.exact_matmul(u, table, ik.max_abs(u), tmax, box=False)
+        u = terms[-1].nums
+        prod = ik.exact_matmul(u, table, ik.max_abs(u), tmax)
         nxt = ik.rref_from_rows(prod.reshape(-1, n), n)
         if nxt == terms[-1]:
             raise NotNilpotentError("lower central series stalls before zero")
@@ -305,9 +283,9 @@ def _complement(cur: ik.ScaledRref, nxt: ik.ScaledRref) -> tuple[np.ndarray, int
     pivots of nxt, as integers over their common denominator s."""
     drop = set(nxt.pivots)
     keep = [r for r, p in enumerate(cur.pivots) if p not in drop]
-    s = math.lcm(1, *(cur.dens[r] for r in keep))
-    rows = [cur.nums[r] * (s // cur.dens[r]) for r in keep]
-    return np.array(rows, dtype=object).reshape(len(keep), cur.ambient), s
+    dens = np.array([cur.dens[r] for r in keep], dtype=object)
+    s = math.lcm(1, *dens)
+    return cur.nums[keep] * (s // dens).reshape(-1, 1), s
 
 
 class GradedAlgebra:
@@ -351,6 +329,8 @@ class GradedAlgebra:
 
     def scaled_piece(self, i: int) -> tuple[np.ndarray, int]:
         """piece(i) as (integer rows, s), the representatives being rows / s."""
+        if i < 1:
+            raise ValueError("graded degree starts at 1")
         if i > len(self._scaled):
             return np.zeros((0, self.algebra.dim), dtype=object), 1
         return self._scaled[i - 1]
@@ -404,12 +384,11 @@ def graded_pairing(g: GradedAlgebra, i: int, j: int) -> BilinearPairing:
     # contracting u (cached per i) into the scaled structure tensor, then v.
     t, cs, tmax = a.int_tensor()
     if i not in g._contracted:
-        x = ik.exact_matmul(ui, t.reshape(n, n * n), ik.max_abs(ui), tmax,
-                            b64=_flat_tensor64(a), box=False)
+        x = ik.exact_matmul(ui, t.reshape(n, n * n), ik.max_abs(ui), tmax)
         x = x.reshape(du, n, n).transpose(0, 2, 1).reshape(du * n, n)
         g._contracted[i] = x, ik.max_abs(x)
     x, xmax = g._contracted[i]
-    w = ik.exact_matmul(x, vi.T, xmax, box=False)
+    w = ik.exact_matmul(x, vi.T, xmax)
     w = w.reshape(du, n, dv).transpose(0, 2, 1).reshape(du * dv, n)
 
     # The residual of [w | 0] is [0 | -d * coordinates] when w lies in
@@ -431,7 +410,7 @@ def _target_rref(g: GradedAlgebra, k: int) -> ik.ScaledRref:
         n = g.algebra.dim
         target, s = g.scaled_piece(k)
         rrefs = g.filtration.rrefs
-        tail = rrefs[k].basis_matrix() if k < len(rrefs) else np.zeros((0, n), dtype=object)
+        tail = rrefs[k].nums if k < len(rrefs) else np.zeros((0, n), dtype=object)
         dt = target.shape[0]
         reps = np.vstack([target, tail])
         cached = g._targets[k] = ik.rref_from_rows(
@@ -466,19 +445,17 @@ def change_basis(a: NilpotentAlgebra, m: Matrix | list[list[int]]) -> NilpotentA
         raise ValueError("change of basis matrix must be dim x dim")
     vi, vs = ik.scaled_inverse(mi, ms)  # raises ValueError when singular
     t, cs, tmax = a.int_tensor()
-    t64 = _flat_tensor64(a)
     mmax = ik.max_abs(mi)
 
     # With M = mi / ms and M^-1 = vi / vs, the new constants are
     # W[i, j, k] / (cs * ms^2 * vs), W = sum Mi[i, a] Mi[j, b] T[a, b, c] Vi[c, k],
     # taken as three flat products:
     # D[a, b, k] = sum_c T[a, b, c] * Vi[c, k]
-    d = ik.exact_matmul((t if t64 is None else t64).reshape(n * n, n), vi,
-                        tmax, ik.max_abs(vi), box=False)
+    d = ik.exact_matmul(t.reshape(n * n, n), vi, tmax, ik.max_abs(vi))
     # X[j, a, k] = sum_b Mi[j, b] * D[a, b, k]
     d = d.reshape(n, n, n).transpose(1, 0, 2).reshape(n, n * n)
-    x = ik.exact_matmul(mi, d, mmax, ik.max_abs(d), box=False)
+    x = ik.exact_matmul(mi, d, mmax, ik.max_abs(d))
     # W[i, j, k] = sum_a Mi[i, a] * X[j, a, k]
     x = x.reshape(n, n, n).transpose(1, 0, 2).reshape(n, n * n)
-    w = ik.exact_matmul(mi, x, mmax, ik.max_abs(x), box=False)
+    w = ik.exact_matmul(mi, x, mmax, ik.max_abs(x))
     return NilpotentAlgebra._from_scaled(w.reshape(n, n, n), cs * ms * ms * vs)

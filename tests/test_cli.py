@@ -4,6 +4,7 @@ the JSON interchange schema, and the exit-code contract (0 success,
 
 import json
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -14,11 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_linalg as oracle
+from lienil import _intkernel as ik
 from lienil import cli
 from lienil.chevalley import nilradical
 from lienil.exactlin import Matrix, random_unimodular
 from lienil.fingerprint import simple_dimension
-from lienil.nilalg import NilpotentAlgebra, _flat_tensor64, change_basis
+from lienil.nilalg import NilpotentAlgebra, change_basis
 from lienil.rootsys import SimpleType, all_types, build_root_system
 
 
@@ -136,6 +138,8 @@ def oracle_payload(dim: int, constants: dict) -> dict:
     {"i": 0, "j": 1, "terms": [{"k": 2, "num": -1, "den": 2}]},
     {"i": 1, "j": 2, "terms": [{"k": 0, "num": 3, "den": 1}]}]})
 @example({"format_version": 1, "dim": 3, "brackets": [
+    {"i": 1, "j": 2, "terms": [{"k": 0, "num": 1 - 2**62, "den": 1}]}]})
+@example({"format_version": 1, "dim": 3, "brackets": [
     {"i": 1, "j": 2, "terms": [{"k": 0, "num": -(2**62), "den": 1}]},
     {"i": 0, "j": 1, "terms": [{"k": 2, "num": 2**62 - 1, "den": 1}]}]})
 @example({"format_version": 1, "dim": 3, "brackets": [
@@ -146,11 +150,8 @@ def test_loader_matches_fraction_loader(payload):
     want_t, want_scale, want_max = oracle.int_tensor(dim, constants)
     got_t, got_scale, got_max = a.int_tensor()
     assert (got_scale, got_max) == (want_scale, want_max)
-    assert got_t.dtype == object and np.array_equal(got_t, want_t)
-    t64 = _flat_tensor64(a)
-    assert (t64 is not None) == (want_max < 2**62)
-    if t64 is not None:
-        assert t64.dtype == np.int64 and np.array_equal(t64, want_t.reshape(dim, -1))
+    assert got_t.dtype == (np.int64 if want_max < 2**62 else object)
+    assert np.array_equal(got_t, want_t)
     assert a == NilpotentAlgebra(dim, constants)
     assert a.constants == constants
     assert cli.algebra_to_payload(a) == oracle_payload(dim, constants)
@@ -481,6 +482,28 @@ def test_exit_2_constants_too_large_to_check(tmp_path, capsys):
     }))
     code, _, err = run(["identify", str(path)], capsys)
     assert code == 2 and "too large" in err
+
+
+@pytest.mark.parametrize("argv", [["identify"], ["obfuscate", "--seed", "1", "-o", "out.json"]])
+def test_exit_2_row_reduction_out_of_primes(tmp_path, capsys, monkeypatch, argv):
+    # [e0, e1] and [e0, e2] into e3..e5 with 200-bit constants.  Jacobi
+    # holds and needs 20 residue primes; the reduced rows hold ratios of
+    # 2 x 2 minors, about 800 bits, which 25 primes cannot reconstruct.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ik, "PRIMES", ik.PRIMES[:25])
+    rng = random.Random(5)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "dim": 6,
+        "brackets": [
+            {"i": 0, "j": j, "terms": [{"k": k, "num": rng.getrandbits(200), "den": 1}
+                                       for k in (3, 4, 5)]}
+            for j in (1, 2)
+        ],
+    }))
+    code, _, err = run([argv[0], str(path), *argv[1:]], capsys)
+    assert code == 2 and "row reduction needs more than the 25 residue primes" in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_exit_1_unrecognized(tmp_path, capsys):

@@ -8,6 +8,8 @@ object-dtype products.
 """
 
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -218,7 +220,7 @@ def test_exact_matmul_routes_by_bound(bits, offset, inner, a_bits, data):
     want = a @ b
     if bound < 2**62:
         a64, b64 = a.astype(np.int64).view(CastSpy), b.astype(np.int64)
-        got, used_float = took_float_route(lambda: ik.exact_matmul(a64, b64, box=False))
+        got, used_float = took_float_route(lambda: ik.exact_matmul(a64, b64))
         assert used_float == (bound < 2**53)
         assert got.dtype == np.int64
     else:
@@ -246,6 +248,15 @@ def test_residuals_route_by_bound(bits, offset, x_bits, data):
     else:
         got = e.residuals(mat)
     assert got.tolist() == want
+
+
+def test_int64_rule_lives_in_intkernel_only():
+    # Only _intkernel chooses between int64 and Python ints.
+    rule = re.compile(r"_INT64_SAFE|_as_int64|_as_object")
+    src = pathlib.Path(ik.__file__).parent
+    assert rule.search((src / "_intkernel.py").read_text())
+    assert [p.name for p in sorted(src.glob("*.py"))
+            if p.name != "_intkernel.py" and rule.search(p.read_text())] == []
 
 
 @pytest.mark.parametrize("inner", [1, 2047, 2048, 2049, 5000])
