@@ -193,11 +193,12 @@ def _eliminate(x: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
 def _echelon_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Reduced echelon form of int64 residues a mod p: (pivots, indices of
     rows of a spanning it, reduced rows).  `cols` rows are eliminated at a
-    time; one residue product reduces the rest and drops those that vanish."""
+    time; one residue product reduces the rest and drops those that vanish.
+    At rank `cols` every remaining row is spanned, so none is read."""
     cols = a.shape[1]
     piv, sel, red = [], np.zeros(0, dtype=np.intp), np.zeros((0, cols), dtype=np.int64)
     idx = np.arange(a.shape[0])
-    while idx.size:
+    while idx.size and len(piv) < cols:
         x = a[idx]
         if piv:
             x = (x - _mod_matmul(x[:, piv], red, p)) % p
@@ -252,11 +253,14 @@ def _certified_rref(rows: np.ndarray, ambient: int) -> "ScaledRref":
     rows.  A base prime gives their rank r mod p and r rows carrying it;
     the next primes reduce only those.  A candidate, r rows in reduced
     echelon form, is adopted only if every input row has zero residual
-    against it by an exact product: as r <= rank over Q, the spans agree."""
+    against it by an exact product: as r <= rank over Q, the spans agree.
+    So r = ambient proves the whole space, with no reconstruction."""
     base = None
     for p in PRIMES:
         if base is None:
             piv, sel, acc = _echelon_mod(_residues(rows, p), p)
+            if len(piv) == ambient:
+                return ScaledRref.full(ambient)
             base, m = rows[sel], p
         else:
             x = _residues(base, p)
@@ -407,7 +411,9 @@ def null_space(m: np.ndarray, cols: int) -> ScaledRref:
     at the others' leading columns: the reduced echelon basis already."""
     piv, rnum, d, _ = rref_from_rows(m[:, ::-1], cols)._scaled()
     piv, rnum = cols - 1 - piv, rnum[:, ::-1]
-    free = np.setdiff1d(np.arange(cols), piv)
+    is_free = np.ones(cols, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
     vecs = np.zeros((free.size, cols), dtype=object)
     vecs[np.arange(free.size), free] = d
     vecs[:, piv] = -rnum[:, free].T

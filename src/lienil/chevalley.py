@@ -10,93 +10,104 @@ constant follows from the Jacobi identity applied to the full algebra,
 using the relation N(u, v)/(w, w) = N(v, w)/(u, u) for u + v + w = 0 to
 reduce mixed-sign constants back to positive ones of lower degree.
 All resulting constants are integers with |N| = p + 1 in {1, 2, 3}.
+
+The construction runs on integer tables: each root's coefficient
+vector packed into one integer key, the indices of alpha + beta and
+alpha - beta found by one sorted lookup of those keys, and squared
+lengths from the symmetrized Cartan matrix.  In a Chevalley basis
+every N, mixed signs included, is an integer (Carter, Simple Groups of
+Lie Type, 1972, 4.1-4.2), so each division the recursion makes is
+exact: it is checked, and a remainder or a zero constant raises
+AssertionError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import _intkernel as ik
 from .nilalg import NilpotentAlgebra
-from .rootsys import RootSystem, string_down_length
+from .rootsys import RootSystem, symmetrizer
+
+
+def _exact(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError(f"{num}/{den} is not an integer")
+    return q
+
+
+def _root_tables(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(plus, minus, len2): plus[i, j] for i < j and minus[i, j] index the
+    positive roots alpha_i + alpha_j and alpha_i - alpha_j (-1 when that
+    is no positive root); len2[i] = (alpha_i, alpha_i) as an integer."""
+    c = np.array([r.coeffs for r in rs.positive_roots], dtype=np.int64)
+    n, rank = c.shape
+    form = np.array(rs.cartan, dtype=np.int64) * np.array(symmetrizer(rs.type), dtype=np.int64)
+    len2 = ((c @ form) * c).sum(axis=1)
+    # Digits in base 4m + 1 read as -2m..2m hold every sum and difference
+    # of two roots, so equal keys mean equal vectors.
+    base = 4 * int(c.max()) + 1
+    weights = ik.compact(np.array([base**i for i in range(rank)], dtype=object), base**rank)
+    keys = c.astype(weights.dtype) @ weights
+    order = np.argsort(keys)
+    ranked = keys[order]
+    # Roots ascend in degree, so alpha_j - alpha_i is positive only for j > i.
+    i, j = np.triu_indices(n, 1)
+    want = np.concatenate([keys[i] + keys[j], keys[j] - keys[i]])
+    at = np.minimum(np.searchsorted(ranked, want), n - 1)
+    found = np.where(ranked[at] == want, order[at], -1).reshape(2, -1)
+    plus, minus = np.full((n, n), -1), np.full((n, n), -1)
+    plus[i, j] = found[0]
+    minus[j, i] = found[1]
+    return plus, minus, len2
 
 
 def nilradical(rs: RootSystem) -> NilpotentAlgebra:
-    pos = rs.positive_roots
-    index = rs.index_of
-    nconst: dict[tuple[int, int], int] = {}  # i < j, both positive, sum positive
+    plus, minus, len2 = _root_tables(rs)
+    n = len(plus)
+    summing = list(zip(*(k.tolist() for k in np.nonzero(plus >= 0))))
+    plus, minus, length = plus.tolist(), minus.tolist(), len2.tolist()
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b in summing:
+        pairs[plus[a][b]].append((a, b))  # ascending a for each gamma
+    nc = [[0] * n for _ in range(n)]  # N(alpha_i, alpha_j), antisymmetric
 
-    def npos(i: int, j: int) -> int:
-        if i == j:
-            return 0
-        if i < j:
-            return nconst.get((i, j), 0)
-        return -nconst.get((j, i), 0)
-
-    def n_mixed(xi: int, zi: int) -> Fraction:
-        """N(x, -z) for distinct positive roots x, z."""
-        s = pos[xi] - pos[zi]
-        if rs.is_positive_root(s):
-            ratio = rs.inner(s, s) / rs.inner(pos[xi], pos[xi])
-            return -ratio * npos(zi, index[s])
-        t = -s
-        if rs.is_positive_root(t):
-            ratio = rs.inner(t, t) / rs.inner(pos[zi], pos[zi])
-            return ratio * npos(index[t], xi)
-        return Fraction(0)
-
-    for gi, gamma in enumerate(pos):
-        if gamma.degree == 1:
+    for g, prs in enumerate(pairs):
+        if not prs:
             continue
-        pairs = []
-        for ai, alpha in enumerate(pos):
-            if alpha.degree >= gamma.degree:
-                break
-            beta = gamma - alpha
-            bi = index.get(beta)
-            if bi is not None and bi > ai:
-                pairs.append((ai, bi))
-
-        a1, b1 = pairs[0]
-        p = string_down_length(rs.is_root, pos[b1], pos[a1])
-        nconst[(a1, b1)] = p + 1
-
-        if len(pairs) == 1:
+        a1, b1 = prs[0]
+        # The alpha1-string below beta1 stays positive: alpha1 is no
+        # higher than beta1, and only G2 has strings of four roots.
+        p, c = 0, minus[b1][a1]
+        while c >= 0:
+            p, c = p + 1, minus[c][a1]
+        nc[a1][b1], nc[b1][a1] = p + 1, -(p + 1)
+        if len(prs) == 1:
             continue
         # [x_gamma, x_{-alpha1}] lands on x_{beta1} with a known factor.
-        n_gamma_down = -(rs.inner(pos[b1], pos[b1]) / rs.inner(gamma, gamma)) * (p + 1)
-        for ai, bi in pairs[1:]:
+        n_gamma_down = _exact(-length[b1] * (p + 1), length[g])
+        for a, b in prs[1:]:
             # Jacobi for (x_{-alpha1}, x_alpha, x_beta); no Cartan part
-            # appears because no two of the three roots sum to zero.
-            t1 = Fraction(0)
-            x = -n_mixed(ai, a1)  # N(-alpha1, alpha)
-            if x:
-                eta = pos[ai] - pos[a1]
-                if rs.is_positive_root(eta):
-                    y = Fraction(npos(index[eta], bi))
-                else:
-                    y = -n_mixed(bi, index[-eta])  # N(-t, beta) = -N(beta, -t)
-                t1 = x * y
-            t3 = Fraction(0)
-            x = n_mixed(bi, a1)  # N(beta, -alpha1)
-            if x:
-                delta = pos[bi] - pos[a1]
-                if rs.is_positive_root(delta):
-                    y = Fraction(npos(index[delta], ai))
-                else:
-                    y = -n_mixed(ai, index[-delta])
-                t3 = x * y
-            val = -(t1 + t3) / n_gamma_down
-            if val.denominator != 1 or val == 0:
-                raise AssertionError(f"constant for pair {ai},{bi} is {val}")
-            nconst[(ai, bi)] = int(val)
+            # appears because no two of the three roots sum to zero.  As
+            # alpha and beta come after alpha1 in the root order, u - alpha1
+            # for u in {alpha, beta} is a positive root s or no root, and
+            # N(u, -alpha1) = -N(alpha1, s) (s, s) / (u, u).
+            jac = 0
+            for u, v, sign in ((a, b, 1), (b, a, -1)):
+                s = minus[u][a1]
+                if s >= 0:
+                    jac += sign * _exact(-length[s] * nc[a1][s], length[u]) * nc[s][v]
+            val = _exact(jac, n_gamma_down)
+            if not val:
+                raise AssertionError(f"constant for pair {a},{b} is 0")
+            nc[a][b], nc[b][a] = val, -val
 
-    constants = {(i, j): ((index[pos[i] + pos[j]], v),) for (i, j), v in nconst.items()}
-    return NilpotentAlgebra(len(pos), constants)
+    terms = [v for a, b in summing for v in (a, b, plus[a][b], nc[a][b], 1)]
+    return NilpotentAlgebra._from_terms(n, terms)
 
 
 @dataclass(frozen=True)

@@ -242,7 +242,9 @@ def _direct_series(a: NilpotentAlgebra) -> Filtration | None:
 
     # t_gen[b, g*n + c] = t[b, gen[g], c], so u @ t_gen reshaped to
     # (rows * gens, n) lists the brackets [row, generator] batchwise.
-    gen = np.setdiff1d(np.arange(n), f2.pivots)
+    is_gen = np.ones(n, dtype=bool)
+    is_gen[f2.pivots] = False
+    gen = np.flatnonzero(is_gen)
     terms = _iterate([ik.ScaledRref.full(n), f2], t[:, gen, :].reshape(n, gen.size * n), tmax)
 
     for cur, nxt in zip(terms[1:], terms[2:]):

@@ -11,7 +11,6 @@ treats as the canonical basis order of the nilradical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
@@ -78,19 +77,6 @@ class Root:
     @property
     def degree(self) -> int:
         return sum(self.coeffs)
-
-    def __add__(self, other: "Root") -> "Root":
-        return Root(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Root") -> "Root":
-        return Root(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(-a for a in self.coeffs))
-
-
-def root_order_key(r: Root) -> tuple[int, tuple[int, ...]]:
-    return (r.degree, r.coeffs)
 
 
 def cartan_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:
@@ -162,67 +148,31 @@ class RootSystem:
     def is_positive_root(self, r: Root) -> bool:
         return r in self.index_of
 
-    def is_root(self, r: Root) -> bool:
-        return r in self.index_of or (-r) in self.index_of
-
-    def simple_roots(self) -> tuple[Root, ...]:
-        return tuple(r for r in self.positive_roots if r.degree == 1)
-
-    def inner(self, a: Root, b: Root) -> Fraction:
-        """Invariant symmetric form (a, b), normalized so the entries
-        are the symmetrized Cartan integers."""
-        d = symmetrizer(self.type)
-        total = 0
-        for i, ai in enumerate(a.coeffs):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b.coeffs):
-                if bj:
-                    total += ai * bj * self.cartan[i][j] * d[j]
-        return Fraction(total)
-
-
-def pairing_with_coroot(cartan, gamma: Root, i: int) -> int:
-    """<gamma, alpha_i^vee> for gamma in simple-root coordinates."""
-    return sum(cj * cartan[j][i] for j, cj in enumerate(gamma.coeffs) if cj)
-
-
-def string_down_length(is_root, gamma: Root, alpha: Root) -> int:
-    """Largest p with gamma - alpha, ..., gamma - p*alpha all roots."""
-    p = 0
-    cur = gamma - alpha
-    while is_root(cur):
-        p += 1
-        cur = cur - alpha
-    return p
-
-
 @lru_cache(maxsize=None)
 def build_root_system(t: SimpleType) -> RootSystem:
     """Enumerate all positive roots of a valid simple type."""
     t.validate()
     n = t.rank
     cartan = cartan_matrix(t)
-    simple = [Root(tuple(1 if j == i else 0 for j in range(n))) for i in range(n)]
-    found: set[Root] = set(simple)
-
-    def is_root(r: Root) -> bool:
-        return r in found or (-r) in found
-
-    level = list(simple)
+    found = {tuple(int(j == i) for j in range(n)) for i in range(n)}
+    level = found
     while level:
-        nxt: set[Root] = set()
+        nxt: set[tuple[int, ...]] = set()
         for gamma in level:
-            for i, alpha in enumerate(simple):
-                p = string_down_length(is_root, gamma, alpha)
-                if p - pairing_with_coroot(cartan, gamma, i) > 0:
-                    cand = gamma + alpha
-                    if cand not in found:
-                        nxt.add(cand)
-        found.update(nxt)
-        level = sorted(nxt, key=root_order_key)
+            for i in range(n):
+                # gamma - k alpha_i keeps a positive coefficient off i unless
+                # gamma = alpha_i, so it is a root iff it is a positive root,
+                # one of lower degree and so already found.
+                p, down = 0, list(gamma)
+                down[i] -= 1
+                while tuple(down) in found:
+                    p, down[i] = p + 1, down[i] - 1
+                if p - sum(c * cartan[j][i] for j, c in enumerate(gamma) if c) > 0:
+                    nxt.add(gamma[:i] + (gamma[i] + 1,) + gamma[i + 1:])
+        level = nxt - found
+        found |= level
 
-    ordered = tuple(sorted(found, key=root_order_key))
+    ordered = tuple(Root(c) for c in sorted(found, key=lambda c: (sum(c), c)))
     return RootSystem(t, cartan, ordered, {r: i for i, r in enumerate(ordered)})
 
 

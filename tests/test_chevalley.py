@@ -12,25 +12,27 @@ Frozen oracles were worked out by hand:
 
 Independent cross-checks: |N(alpha, beta)| = p + 1 where p counts the
 alpha-string below beta, support exactly on pairs whose sum is a root,
-positivity on each degree-minimal pair, and the Jacobi identity.
+positivity on each degree-minimal pair, and the Jacobi identity.  The
+Root/Fraction construction that the integer tables replaced
+(chevalley_oracle) must give the same roots and the same table.
 """
 
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from lienil import _intkernel as ik
 from lienil.chevalley import JacobiReport, jacobi_primes, nilradical, verify_jacobi
+from lienil.cli import algebra_to_payload
 from lienil.exactlin import random_unimodular
 from lienil.nilalg import NilpotentAlgebra, change_basis, lower_central_series
-from lienil.rootsys import (
-    SimpleType,
-    all_types,
-    build_root_system,
-    string_down_length,
-)
+from lienil.rootsys import RootSystem, SimpleType, all_types, build_root_system
+
+import chevalley_oracle as oracle
 
 F = Fraction
 
@@ -86,6 +88,45 @@ def test_g2_table():
     }
 
 
+@pytest.mark.parametrize("t", all_types(8), ids=str)
+def test_integer_tables_match_the_fraction_construction(t):
+    # all_types(8) includes E8.  Same constants, same scaled tensor and
+    # the same file payload, byte for byte.
+    rs = build_root_system(t)
+    assert rs.positive_roots == oracle.positive_roots(t)
+    a, want = nilradical(rs), oracle.nilradical(rs)
+    assert a.constants == want.constants
+    t_a, t_w = a.int_tensor(), want.int_tensor()
+    assert t_a[1:] == t_w[1:] and t_a[0].dtype == t_w[0].dtype
+    assert np.array_equal(t_a[0], t_w[0])
+    assert json.dumps(algebra_to_payload(a)) == json.dumps(algebra_to_payload(want))
+
+
+def test_building_e8_creates_no_fraction(monkeypatch):
+    built = 0
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(F, "__new__", staticmethod(counting_new))
+        # The root system too, bypassing build_root_system's cache.
+        a = nilradical(build_root_system.__wrapped__(SimpleType("E", 8)))
+        assert built == 0
+    assert a.dim == 120 and len(a.constants) > 0
+
+
+def test_inexact_division_raises():
+    # B3's roots measured with C3's lengths: some N(u, -alpha1) is no integer.
+    b3 = rsys("B3")
+    corrupt = RootSystem(SimpleType("C", 3), b3.cartan, b3.positive_roots, b3.index_of)
+    with pytest.raises(AssertionError, match="is not an integer"):
+        nilradical(corrupt)
+
+
 def test_dimension_is_number_of_positive_roots():
     for t in all_types(6):
         rs = build_root_system(t)
@@ -99,7 +140,7 @@ def test_support_is_exactly_root_sums():
         pos = rs.positive_roots
         for i in range(a.dim):
             for j in range(i + 1, a.dim):
-                s = pos[i] + pos[j]
+                s = oracle.add(pos[i], pos[j])
                 if rs.is_positive_root(s):
                     ((k, v),) = a.constants[(i, j)]
                     assert k == rs.index_of[s]
@@ -114,7 +155,7 @@ def test_magnitude_is_string_length():
         a = nilradical(rs)
         pos = rs.positive_roots
         for (i, j), ((k, v),) in a.constants.items():
-            p = string_down_length(rs.is_root, pos[j], pos[i])
+            p = oracle.string_down_length(lambda r: oracle.is_root(rs, r), pos[j], pos[i])
             assert abs(v) == p + 1
             assert abs(v) in (1, 2, 3)
 
@@ -147,7 +188,7 @@ def test_minimal_pair_constant_is_positive():
             first = min(
                 (i, j)
                 for (i, j) in a.constants
-                if rs.index_of[pos[i] + pos[j]] == gi
+                if rs.index_of[oracle.add(pos[i], pos[j])] == gi
             )
             ((_, v),) = a.constants[first]
             assert v > 0

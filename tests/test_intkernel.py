@@ -119,6 +119,21 @@ def test_null_space_matches_fraction_kernel(case):
         assert ik.null_space(np.array(rows, dtype=np.int64).reshape(-1, cols), cols) == want
 
 
+def test_full_column_rank_kernel_needs_no_reconstruction(monkeypatch):
+    # Rank mod a prime is at most the rank over Q, so full rank mod the
+    # base prime proves the whole space; tall input stops after its
+    # first block of `cols` rows.
+    calls, blocks = [], []
+    reconstruct, eliminate = ik._reconstruct, ik._eliminate
+    monkeypatch.setattr(ik, "_reconstruct", lambda *a: calls.append(a) or reconstruct(*a))
+    monkeypatch.setattr(ik, "_eliminate", lambda x, p: blocks.append(x.shape) or eliminate(x, p))
+    rows = [[3, 1, 4], [1, 5, 9], [2, 6, 5], [3, 5, 8], [9, 7, 9], [P0, P1, 2**70]]
+    assert ik.null_space(as_array(rows, 3), 3) == ik.ScaledRref(3)
+    assert calls == [] and blocks == [(3, 3)]
+    assert ik.rref_from_rows(as_array(rows, 3), 3) == ik.ScaledRref.full(3)
+    assert calls == []
+
+
 @st.composite
 def square_and_scale(draw):
     n = draw(st.integers(1, 5))
