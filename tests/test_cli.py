@@ -582,9 +582,20 @@ def test_run_claims_ids_are_stable():
 
 
 def test_run_claims_includes_e6_split_at_rank_6():
-    results = {r.claim_id: r for r in cli.run_claims(6)}
-    assert results["e6-degree4-count"].ok
-    assert "E6: 5" in results["e6-degree4-count"].witness
+    results = [(r.claim_id, r.ok, r.witness) for r in cli.run_claims(6)]
+    assert results == [
+        ("dimension-table", True, "23 types checked"),
+        ("rank-recovery", True, "23 types checked"),
+        ("series-is-degree-filtration", True, "23 types checked"),
+        ("bc-histogram-equal", True, "n = 2..6"),
+        ("e6-degree4-count", True, "E6: 5, B6: 4, C6: 4"),
+        ("bc-right-kernel-split", True, "n = 3..6, C kernel contains 2e2"),
+        ("round-trip-identification", True, "69 round trips"),
+        ("jacobi-holds", True, "23 types checked"),
+        ("graded-matches-nilradical", True, "23 types checked"),
+        ("pairing-well-defined", True, "468 perturbed pairings"),
+        ("simple-predecessor-exists", True, "279 roots checked"),
+    ]
 
 
 # ------------------------------------------------------------- entry point
