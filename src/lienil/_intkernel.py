@@ -10,7 +10,7 @@ prime run on float64 BLAS, exact under residue_matmul's bound.
 
 ScaledRref is the package's only row reduction: the lower central
 series, graded pairings and their kernels, scaled_inverse, and
-exactlin's rref, kernel and inverse all run on it; null_space reads a
+exactlin's kernel and inverse all run on it; null_space reads a
 kernel's canonical basis off a single reduction.  It reduces modulo
 primes from PRIMES, with CRT and rational reconstruction under an
 exact certificate (_certified_rref).  Structure constants arrive as

@@ -1,34 +1,31 @@
 """Command-line surface: build, inspect, serialize, scramble, and
-identify nilradicals, plus a claim runner for the library's headline
-guarantees.
+identify nilradicals, and report the claims that lienil.claims checks.
 
 Interchange is a small JSON schema (format_version 1) storing the
 upper-triangular bracket table with lowest-term integer fractions, so
 exactness survives serialization.  Exit codes are uniform across
 subcommands: 0 success, 1 semantic rejection (not nilpotent, no type
 matches, failed claims), 2 malformed input (bad arguments, unreadable
-or invalid files, Jacobi violations, rank bound exceeded, a dim above
-every nilradical within the rank bound, constants too large for the
-residue primes).
+or invalid files, unwritable output paths, Jacobi violations, rank
+bound exceeded, a dim above every nilradical within the rank bound,
+constants too large for the residue primes).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import math
 import os
-import random
 import sys
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import replace
 from itertools import groupby
 
 from ._intkernel import PrimesExhausted
 from .chevalley import nilradical, verify_jacobi
-from .exactlin import Matrix, Subspace, random_unimodular, random_unimodular_rows
+from .claims import run_claims
+from .exactlin import random_unimodular
 from .fingerprint import (
     DEFAULT_MAX_RANK,
     UnrecognizedAlgebraError,
@@ -37,22 +34,17 @@ from .fingerprint import (
     simple_dimension,
 )
 from .nilalg import (
-    GradedAlgebra,
     NilpotentAlgebra,
     NotNilpotentError,
     change_basis,
     graded,
-    graded_pairing,
     lower_central_series,
-    right_kernel,
 )
 from .rootsys import (
-    Root,
     SimpleType,
     all_types,
     build_root_system,
     degree_histogram,
-    simple_predecessor,
 )
 
 FORMAT_VERSION = 1
@@ -226,6 +218,14 @@ def _load_within_bound(path: str, bound: int) -> NilpotentAlgebra:
     return a
 
 
+def _save(path: str, a: NilpotentAlgebra, metadata: dict) -> None:
+    """save_algebra, with an unwritable path reported as exit 2."""
+    try:
+        save_algebra(path, a, metadata)
+    except OSError as exc:
+        raise CliError(2, f"cannot write {path}: {exc}") from None
+
+
 # -------------------------------------------------------------- subcommands
 
 
@@ -300,7 +300,7 @@ def cmd_invariants(args) -> int:
 def cmd_emit(args) -> int:
     t = _parse_type(args.family, args.rank, _rank_bound())
     a = nilradical(build_root_system(t))
-    save_algebra(args.out, a, metadata={"type": str(t)})
+    _save(args.out, a, {"type": str(t)})
     print(f"wrote {t} nilradical (dim {a.dim}) to {args.out}")
     return 0
 
@@ -311,8 +311,8 @@ def cmd_obfuscate(args) -> int:
         lower_central_series(a)
     except NotNilpotentError as exc:
         raise CliError(1, f"input is not nilpotent: {exc}") from None
-    b = change_basis(a, random_unimodular_rows(a.dim, args.seed))
-    save_algebra(args.out, b, metadata={"seed": args.seed})
+    b = change_basis(a, random_unimodular(a.dim, args.seed))
+    _save(args.out, b, {"seed": args.seed})
     print(f"wrote obfuscated algebra (dim {b.dim}, seed {args.seed}) to {args.out}")
     return 0
 
@@ -348,233 +348,6 @@ def cmd_identify(args) -> int:
         },
     }), end="")
     return 0
-
-
-# ------------------------------------------------------------ claim checks
-
-
-@dataclass(frozen=True)
-class ClaimResult:
-    claim_id: str
-    ok: bool
-    witness: str
-
-
-def _degree_filtration(rs) -> list[Subspace]:
-    """span{e_k : degree(root_k) >= i} for i = 1, 2, ..., then zero."""
-    n = len(rs.positive_roots)
-    top = max(r.degree for r in rs.positive_roots)
-    out = []
-    for i in range(1, top + 1):
-        rows = [
-            tuple(Fraction(1 if c == k else 0) for c in range(n))
-            for k, r in enumerate(rs.positive_roots)
-            if r.degree >= i
-        ]
-        out.append(Subspace(n, Matrix(tuple(rows), len(rows), n)))
-    out.append(Subspace.zero(n))
-    return out
-
-
-def _graded_table(g: GradedAlgebra):
-    """Structure constants of the graded algebra against the coset
-    representatives, keyed like NilpotentAlgebra.constants."""
-    pivots = [
-        [next(c for c, x in enumerate(row) if x) for row in p.entries]
-        for p in g.pieces
-    ]
-    cls = g.filtration.nilpotency_class
-    out: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(1, cls + 1):
-        for j in range(i, cls - i + 1):
-            p = graded_pairing(g, i, j)
-            for ai in range(p.source_dims[0]):
-                for bj in range(p.source_dims[1]):
-                    ga, gb = pivots[i - 1][ai], pivots[j - 1][bj]
-                    if ga == gb:
-                        continue
-                    for ck, val in enumerate(p.tensor[ai][bj]):
-                        if val:
-                            key, v = ((ga, gb), val) if ga < gb else ((gb, ga), -val)
-                            out.setdefault(key, {})[pivots[i + j - 1][ck]] = v
-    return {k: tuple(sorted(d.items())) for k, d in out.items()}
-
-
-def _perturb_pieces(g: GradedAlgebra, degrees, rng) -> GradedAlgebra:
-    """New coset representatives: each row plus a random element of the
-    next filtration term (same cosets, different representatives)."""
-    f = g.filtration
-    pieces = list(g.pieces)
-    for d in degrees:
-        tail = f.terms[d]  # terms[d] = N^{d+1}
-        rows = []
-        for row in pieces[d - 1].entries:
-            new = list(row)
-            for trow in tail.basis.entries:
-                c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                new = [x + c * y for x, y in zip(new, trow)]
-            rows.append(tuple(new))
-        pieces[d - 1] = Matrix(tuple(rows), len(rows), g.algebra.dim)
-    return GradedAlgebra(g.algebra, f, tuple(pieces))
-
-
-def _coset_coordinates(piece: Matrix, root_index: int):
-    """Coordinates in a graded piece of the standard vector at a root
-    index, assuming canonical (standard-basis) representatives."""
-    coords = []
-    hit = False
-    for row in piece.entries:
-        pivot = next(c for c, x in enumerate(row) if x)
-        coords.append(Fraction(1) if pivot == root_index else Fraction(0))
-        hit = hit or pivot == root_index
-    if not hit:
-        raise AssertionError("root index is not a representative pivot")
-    return coords
-
-
-def run_claims(max_rank: int) -> list[ClaimResult]:
-    """Check the library's headline guarantees up to the rank bound."""
-    types = all_types(max_rank)
-
-    @functools.cache
-    def nr(t: SimpleType) -> NilpotentAlgebra:
-        return nilradical(build_root_system(t))
-
-    @functools.cache
-    def lcs(t: SimpleType):
-        return lower_central_series(nr(t))
-
-    @functools.cache
-    def gr(t: SimpleType) -> GradedAlgebra:
-        return graded(nr(t), lcs(t))
-
-    results: list[ClaimResult] = []
-
-    def claim(claim_id: str, ok: bool, witness: str) -> None:
-        results.append(ClaimResult(claim_id, ok, witness))
-
-    # 2 * dim(nilradical) + rank reproduces the dimension table.
-    bad = [str(t) for t in types if 2 * nr(t).dim + t.rank != simple_dimension(t)]
-    claim("dimension-table", not bad, f"{len(types)} types checked" if not bad else f"mismatch: {bad}")
-
-    # dim gr^1 equals the rank.
-    bad = [str(t) for t in types if gr(t).dims[0] != t.rank]
-    claim("rank-recovery", not bad, f"{len(types)} types checked" if not bad else f"mismatch: {bad}")
-
-    # The abstract lower central series is the degree filtration.
-    bad = [
-        str(t) for t in types
-        if list(lcs(t).terms) != _degree_filtration(build_root_system(t))
-    ]
-    claim("series-is-degree-filtration", not bad,
-          f"{len(types)} types checked" if not bad else f"mismatch: {bad}")
-
-    # B_n and C_n have identical degree histograms.
-    if max_rank >= 2:
-        bad = [
-            n for n in range(2, max_rank + 1)
-            if degree_histogram(build_root_system(SimpleType("B", n)))
-            != degree_histogram(build_root_system(SimpleType("C", n)))
-        ]
-        claim("bc-histogram-equal", not bad,
-              f"n = 2..{max_rank}" if not bad else f"differs at n = {bad}")
-
-    # E6 has five degree-4 roots; B6 and C6 have four.
-    if max_rank >= 6:
-        counts = {
-            name: gr(SimpleType.parse(name)).dims[3]
-            for name in ("E6", "B6", "C6")
-        }
-        claim("e6-degree4-count",
-              counts["E6"] == 5 and counts["B6"] == 4 and counts["C6"] == 4,
-              f"E6: {counts['E6']}, B6: {counts['B6']}, C6: {counts['C6']}")
-
-    # Right kernel of gr^2 x gr^{2n-3} -> gr^{2n-1} splits B from C,
-    # and for C_n it contains the coset of the long root 2e_2.
-    if max_rank >= 3:
-        ok = True
-        notes = []
-        for n in range(3, max_rank + 1):
-            for fam in ("B", "C"):
-                t = SimpleType(fam, n)
-                g = gr(t)
-                ker = right_kernel(graded_pairing(g, 2, 2 * n - 3))
-                if fam == "B" and ker.dim != 0:
-                    ok = False
-                    notes.append(f"B{n} kernel dim {ker.dim}")
-                if fam == "C":
-                    # 2e_2 in simple-root coordinates: (0, 2, ..., 2, 1).
-                    coeffs = tuple(0 if i == 0 else (1 if i == n - 1 else 2) for i in range(n))
-                    idx = build_root_system(t).index_of[Root(coeffs)]
-                    coset = _coset_coordinates(g.piece(2 * n - 3), idx)
-                    if ker.dim < 1 or not ker.contains(coset):
-                        ok = False
-                        notes.append(f"C{n} kernel misses the 2e2 coset")
-        claim("bc-right-kernel-split", ok,
-              f"n = 3..{max_rank}, C kernel contains 2e2" if ok else "; ".join(notes))
-
-    # Identification round-trips through seeded unimodular basis changes.
-    seeds = (101, 202, 303)
-    trips = 0
-    bad = []
-    for t in types:
-        expected = identify(gr(t), max_rank=max_rank)
-        for seed in seeds:
-            b = change_basis(nr(t), random_unimodular(nr(t).dim, seed))
-            trips += 1
-            if identify(b, max_rank=max_rank) != expected:
-                bad.append(f"{t}@{seed}")
-    claim("round-trip-identification", not bad,
-          f"{trips} round trips" if not bad else f"failed: {bad}")
-
-    # Every constructed table satisfies the Jacobi identity.
-    bad = [str(t) for t in types if not verify_jacobi(nr(t)).ok]
-    claim("jacobi-holds", not bad,
-          f"{len(types)} types checked" if not bad else f"violations in {bad}")
-
-    # Graded structure constants equal the nilradical's in the root basis.
-    bad = [
-        str(t) for t in types
-        if _graded_table(gr(t)) != nr(t).constants
-    ]
-    claim("graded-matches-nilradical", not bad,
-          f"{len(types)} types checked" if not bad else f"mismatch: {bad}")
-
-    # Pairings do not depend on the choice of coset representatives.
-    rng = random.Random(20240801)
-    checked = 0
-    bad = []
-    for t in [x for x in types if x.rank <= min(4, max_rank)]:
-        g = gr(t)
-        cls = g.filtration.nilpotency_class
-        for i in range(1, cls + 1):
-            for j in range(1, cls - i + 1):
-                base = graded_pairing(g, i, j).tensor
-                for _ in range(3):
-                    gp = _perturb_pieces(g, {i, j}, rng)
-                    checked += 1
-                    if graded_pairing(gp, i, j).tensor != base:
-                        bad.append(f"{t} ({i},{j})")
-    claim("pairing-well-defined", not bad,
-          f"{checked} perturbed pairings" if not bad else f"changed: {bad}")
-
-    # Every root of degree >= 2 has a simple-root predecessor.
-    checked = 0
-    bad = []
-    for t in types:
-        rs = build_root_system(t)
-        for r in rs.positive_roots:
-            if r.degree >= 2:
-                checked += 1
-                i = simple_predecessor(rs, r)
-                below = list(r.coeffs)
-                below[i] -= 1
-                if below[i] < 0 or not rs.is_positive_root(Root(tuple(below))):
-                    bad.append(f"{t} {r.coeffs}")
-    claim("simple-predecessor-exists", not bad,
-          f"{checked} roots checked" if not bad else f"missing: {bad}")
-
-    return results
 
 
 def cmd_verify_claims(args) -> int:

@@ -1,12 +1,13 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact rational linear algebra on small dense matrices, and seeded
+unimodular scrambles.
 
 Matrices and subspaces hold ``fractions.Fraction`` entries: no floats,
 no tolerances.  Subspaces are represented by their reduced row echelon
 basis, which is a canonical form, so two subspaces are equal iff their
-``Subspace`` values are equal.  RREF, and with it kernels, ranks and
-subspaces, and inverses run on the integer engine
-``_intkernel.ScaledRref``: rows are scaled to integers, reduced
-exactly, and read back as the canonical rational basis.
+``Subspace`` values are equal.  Kernels and inverses run on the integer
+engine ``_intkernel.ScaledRref``: rows are scaled to integers, reduced
+exactly, and read back as rationals.  random_unimodular gives integer
+rows, which change_basis takes as they are.
 """
 
 from __future__ import annotations
@@ -71,9 +72,6 @@ class Matrix:
     def row(self, i: int) -> Vector:
         return self.entries[i]
 
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
     def transpose(self) -> "Matrix":
         return Matrix(
             tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
@@ -92,34 +90,12 @@ class Matrix:
         return Matrix(data, self.rows, other.cols)
 
 
-def rref(m: Matrix) -> Matrix:
-    """Canonical reduced row echelon form with zero rows dropped.
-
-    Pivots are 1, pivot columns strictly increase, and all entries above
-    and below a pivot are zero.  The result depends only on the row
-    space of ``m``.
-    """
-    rows, _ = ik.scaled_int(m)
-    return ik.rref_from_rows(rows, m.cols).to_subspace().basis
-
-
-def rank(m: Matrix) -> int:
-    return rref(m).rows
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of Q^n given by its canonical RREF basis."""
 
     ambient: int
     basis: Matrix
-
-    @staticmethod
-    def from_vectors(vectors: Sequence[Sequence], ambient: int) -> "Subspace":
-        m = Matrix.from_rows(vectors, cols=ambient)
-        if m.cols != ambient:
-            raise ValueError("vector length does not match ambient dimension")
-        return Subspace(ambient, rref(m))
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
@@ -166,12 +142,7 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix(rows, m.rows, m.cols)
 
 
-def random_unimodular(d: int, seed: int, entry_bound: int = 2**10) -> Matrix:
-    """random_unimodular_rows(d, seed, entry_bound) as a rational Matrix."""
-    return Matrix.from_rows(random_unimodular_rows(d, seed, entry_bound))
-
-
-def random_unimodular_rows(d: int, seed: int, entry_bound: int = 2**10) -> list[list[int]]:
+def random_unimodular(d: int, seed: int, entry_bound: int = 2**10) -> list[list[int]]:
     """Deterministic pseudorandom integer matrix with determinant +-1, as
     integer rows (change_basis takes them as they are).
 

@@ -185,14 +185,6 @@ def degree_histogram(rs: RootSystem) -> list[int]:
     return hist
 
 
-def highest_root(rs: RootSystem) -> Root:
-    top = max(r.degree for r in rs.positive_roots)
-    candidates = [r for r in rs.positive_roots if r.degree == top]
-    if len(candidates) != 1:
-        raise AssertionError("highest root is not unique; root data is corrupt")
-    return candidates[0]
-
-
 def simple_predecessor(rs: RootSystem, r: Root) -> int:
     """Smallest i with r - alpha_i a positive root.
 

@@ -178,7 +178,7 @@ def test_save_load_round_trip_of_scrambled_table(tmp_path):
     # Scrambled constants are dense rationals; the compact file must
     # read back as the same algebra.
     a = nilradical(build_root_system(SimpleType("B", 3)))
-    m = random_unimodular(a.dim, 5) @ Matrix.from_rows(
+    m = Matrix.from_rows(random_unimodular(a.dim, 5)) @ Matrix.from_rows(
         [[F(1, k + 2) if i == k else 0 for k in range(a.dim)] for i in range(a.dim)])
     b = change_basis(a, m)
     assert any(v.denominator > 1 for terms in b.constants.values() for _, v in terms)
@@ -319,7 +319,7 @@ def test_obfuscate_requires_seed(tmp_path, capsys):
 
 def test_obfuscate_and_identify_build_no_fraction(tmp_path, capsys, monkeypatch):
     # Files are read into, and written from, the scaled integer tensor;
-    # Fractions remain only in the constants view and the claim checks.
+    # Fractions remain only in the constants view.
     path = tmp_path / "b4.json"
     assert run(["emit", "B", "4", "-o", str(path)], capsys)[0] == 0
     built = 0
@@ -504,6 +504,21 @@ def test_exit_2_row_reduction_out_of_primes(tmp_path, capsys, monkeypatch, argv)
     code, _, err = run([argv[0], str(path), *argv[1:]], capsys)
     assert code == 2 and "row reduction needs more than the 25 residue primes" in err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["emit", "A", "3"], ["obfuscate", "SRC", "--seed", "1"]])
+@pytest.mark.parametrize("target", ["directory", "missing/out.json"])
+def test_exit_2_unwritable_output(tmp_path, capsys, argv, target):
+    src = tmp_path / "a3.json"
+    cli.save_algebra(str(src), nilradical(build_root_system(SimpleType("A", 3))))
+    out = tmp_path / target
+    if target == "directory":
+        out.mkdir()
+    argv = [str(src) if x == "SRC" else x for x in argv]
+    code, stdout, err = run([*argv, "-o", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a3.json"] + (target == "directory") * [target]
 
 
 def test_exit_1_unrecognized(tmp_path, capsys):

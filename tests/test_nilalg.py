@@ -69,7 +69,11 @@ SL2 = NilpotentAlgebra(
 
 
 def span(vectors, ambient):
-    return Subspace.from_vectors(vectors, ambient)
+    return ik.rref_from_rows(np.array(vectors, dtype=object), ambient).to_subspace()
+
+
+def unimodular_matrix(d, seed):
+    return Matrix.from_rows(random_unimodular(d, seed))
 
 
 # ---------------------------------------------------------------- validation
@@ -610,8 +614,8 @@ def test_change_basis_rejects_wrong_shape():
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000), st.integers(0, 10_000))
 def test_change_basis_composes(s0, s1):
-    m0 = random_unimodular(3, s0)
-    m1 = random_unimodular(3, s1)
+    m0 = unimodular_matrix(3, s0)
+    m1 = unimodular_matrix(3, s1)
     assert change_basis(change_basis(H3, m0), m1) == change_basis(H3, m1 @ m0)
 
 
@@ -620,7 +624,7 @@ def test_change_basis_composes(s0, s1):
 def test_change_basis_preserves_brackets(seed):
     # [x, y] computed in new coordinates matches the old bracket mapped
     # through the basis change.
-    m = random_unimodular(6, seed)
+    m = unimodular_matrix(6, seed)
     b = change_basis(N4, m)
     x_new, y_new = (1, 0, 2, 0, -1, 0), (0, 1, 0, 3, 0, 1)
     x_old = (Matrix.from_rows([x_new]) @ m).row(0)
@@ -633,7 +637,7 @@ def test_change_basis_preserves_brackets(seed):
 def _basis_matrices(n):
     """Invertible n x n matrices: unimodular, unimodular times a rational
     diagonal, and arbitrary small rational ones."""
-    unimodular = st.integers(0, 10_000).map(lambda s: random_unimodular(n, s))
+    unimodular = st.integers(0, 10_000).map(lambda s: unimodular_matrix(n, s))
     diagonal = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=7)
                         .filter(bool), min_size=n, max_size=n)
     scaled = st.tuples(unimodular, diagonal).map(
@@ -672,7 +676,7 @@ def algebra_and_basis(draw):
 @settings(max_examples=150, deadline=None)
 @given(algebra_and_basis())
 @example((NilpotentAlgebra(3, {(0, 1): ((2, 2**70 + 1),), (1, 2): ((0, F(-7, 3)),)}),
-          random_unimodular(3, 4)))
+          unimodular_matrix(3, 4)))
 @example((NilpotentAlgebra(3, {(0, 1): ((2, F(1, 2)),)}),
           Matrix.from_rows([(2, 0, 0), (0, 1, 0), (0, 0, 1)])))
 def test_change_basis_matches_fraction_oracle(case):

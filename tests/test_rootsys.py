@@ -2,12 +2,12 @@ import pytest
 
 from lienil.rootsys import (
     Root,
+    RootSystem,
     SimpleType,
     all_types,
     build_root_system,
     cartan_matrix,
     degree_histogram,
-    highest_root,
     simple_predecessor,
     symmetrizer,
 )
@@ -21,6 +21,14 @@ DIMS = {
     "D": lambda n: n * (2 * n - 1),
 }
 EXCEPTIONAL_DIMS = {("E", 6): 78, ("E", 7): 133, ("E", 8): 248, ("F", 4): 52, ("G", 2): 14}
+
+
+def highest_root(rs: RootSystem) -> Root:
+    """The one positive root of top degree."""
+    top = max(r.degree for r in rs.positive_roots)
+    candidates = [r for r in rs.positive_roots if r.degree == top]
+    assert len(candidates) == 1, "highest root is not unique"
+    return candidates[0]
 
 
 def expected_positive_count(t: SimpleType) -> int:
