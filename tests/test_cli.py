@@ -375,6 +375,59 @@ def test_identify_alias_listing(tmp_path, capsys):
     assert data["aliases"] == ["D3"]
 
 
+# Stdout of identify and invariants, pinned byte for byte: pretty-printed
+# JSON with sorted keys and a trailing newline.  Scrambling does not change
+# what identify prints.
+PINNED_IDENTIFY = {
+    "A3": '{"aliases": ["D3"], "canonical": "A3", "fingerprint": {"bc_family": null, '
+          '"graded_dims": [3, 2, 1], "nil_dim": 6, "nilpotency_class": 3, "rank": 3, '
+          '"simple_dim": 15}}',
+    "B4": '{"aliases": [], "canonical": "B4", "fingerprint": {"bc_family": "B", '
+          '"graded_dims": [4, 3, 3, 2, 2, 1, 1], "nil_dim": 16, "nilpotency_class": 7, '
+          '"rank": 4, "simple_dim": 36}}',
+    "C4": '{"aliases": [], "canonical": "C4", "fingerprint": {"bc_family": "C", '
+          '"graded_dims": [4, 3, 3, 2, 2, 1, 1], "nil_dim": 16, "nilpotency_class": 7, '
+          '"rank": 4, "simple_dim": 36}}',
+    "E6": '{"aliases": [], "canonical": "E6", "fingerprint": {"bc_family": null, '
+          '"graded_dims": [6, 5, 5, 5, 4, 3, 3, 2, 1, 1, 1], "nil_dim": 36, '
+          '"nilpotency_class": 11, "rank": 6, "simple_dim": 78}}',
+}
+PINNED_INVARIANTS = {
+    "B3": '{"degree_histogram": [3, 2, 2, 1, 1], "graded_dims": [3, 2, 2, 1, 1], '
+          '"identification": {"aliases": [], "canonical": "B3"}, '
+          '"lcs_dims": [9, 6, 4, 2, 1, 0], "nilpotency_class": 5, "nilradical_dim": 9, '
+          '"rank": 3, "simple_dim": 21, "type": "B3"}',
+    "C3": '{"degree_histogram": [3, 2, 2, 1, 1], "graded_dims": [3, 2, 2, 1, 1], '
+          '"identification": {"aliases": [], "canonical": "C3"}, '
+          '"lcs_dims": [9, 6, 4, 2, 1, 0], "nilpotency_class": 5, "nilradical_dim": 9, '
+          '"rank": 3, "simple_dim": 21, "type": "C3"}',
+    "E6": '{"degree_histogram": [6, 5, 5, 5, 4, 3, 3, 2, 1, 1, 1], '
+          '"graded_dims": [6, 5, 5, 5, 4, 3, 3, 2, 1, 1, 1], '
+          '"identification": {"aliases": [], "canonical": "E6"}, '
+          '"lcs_dims": [36, 30, 25, 20, 15, 11, 8, 5, 3, 2, 1, 0], "nilpotency_class": 11, '
+          '"nilradical_dim": 36, "rank": 6, "simple_dim": 78, "type": "E6"}',
+}
+
+
+def pretty(compact: str) -> str:
+    return json.dumps(json.loads(compact), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_IDENTIFY))
+def test_identify_stdout_is_pinned(name, tmp_path, capsys):
+    src, obf = tmp_path / "a.json", tmp_path / "o.json"
+    assert run(["emit", name[0], name[1:], "-o", str(src)], capsys)[0] == 0
+    assert run(["obfuscate", str(src), "--seed", "3", "-o", str(obf)], capsys)[0] == 0
+    for path in (src, obf):
+        assert run(["identify", str(path)], capsys)[:2] == (0, pretty(PINNED_IDENTIFY[name]))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INVARIANTS))
+def test_invariants_stdout_is_pinned(name, capsys):
+    code, out, _ = run(["invariants", name[0], name[1:]], capsys)
+    assert (code, out) == (0, pretty(PINNED_INVARIANTS[name]))
+
+
 # --------------------------------------------------------------- exit codes
 
 
