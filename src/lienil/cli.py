@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from itertools import groupby
 
 from ._intkernel import PrimesExhausted
@@ -333,10 +332,9 @@ def cmd_identify(args) -> int:
     except UnrecognizedAlgebraError as exc:
         raise CliError(1, f"unrecognized: {exc}") from None
     fp = fingerprint(g)
-    if ident.canonical.family in ("B", "C") and ident.canonical.rank >= 3:
-        fp = replace(fp, bc_family=ident.canonical.family)
+    t = ident.canonical
     print(_json({
-        "canonical": str(ident.canonical),
+        "canonical": str(t),
         "aliases": [str(x) for x in ident.aliases],
         "fingerprint": {
             "rank": fp.rank,
@@ -344,7 +342,7 @@ def cmd_identify(args) -> int:
             "simple_dim": fp.simple_dim,
             "nilpotency_class": fp.nilpotency_class,
             "graded_dims": list(fp.graded_dims),
-            "bc_family": fp.bc_family,
+            "bc_family": t.family if t.family in ("B", "C") and t.rank >= 3 else None,
         },
     }), end="")
     return 0

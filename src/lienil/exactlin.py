@@ -55,40 +55,6 @@ class Matrix:
             raise ValueError("explicit column count does not match rows")
         return Matrix(data, len(data), width)
 
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return Matrix(
-            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)),
-            n,
-            n,
-        )
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        zero = Fraction(0)
-        return Matrix(tuple(tuple(zero for _ in range(cols)) for _ in range(rows)), rows, cols)
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-            self.cols,
-            self.rows,
-        )
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols_of_other = other.transpose().entries
-        data = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols_of_other)
-            for row in self.entries
-        )
-        return Matrix(data, self.rows, other.cols)
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -101,18 +67,9 @@ class Subspace:
     def zero(ambient: int) -> "Subspace":
         return Subspace(ambient, Matrix((), 0, ambient))
 
-    @staticmethod
-    def full(ambient: int) -> "Subspace":
-        return Subspace(ambient, Matrix.identity(ambient))
-
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(
-            next(j for j, x in enumerate(row) if x != 0) for row in self.basis.entries
-        )
 
     def contains(self, v: Sequence) -> bool:
         w = list(vector(v))

@@ -1,23 +1,20 @@
 """Naming the simple type behind anonymous nilradical constants.
 
-Everything here reads only basis-independent data: the dimension, the
-graded dimensions of the lower central series, and (for the one family
-pair these cannot separate) the right kernel of an induced pairing on
-graded pieces.  The decision runs in three steps:
+Everything here reads only basis-independent data: the graded
+dimensions of the lower central series and, for the one family pair
+these cannot separate, the right kernel of an induced pairing on graded
+pieces.  The decision takes two steps:
 
-1. rank = dim gr^1 and simple_dim = 2 * dim + rank index into the
-   rank/dimension table of the simple algebras.
-2. The only collisions in that table are {B_n, C_n} for n >= 2 and
-   {E6, B6, C6} at (6, 78).  E6 splits off because its gr^4 has
-   dimension 5 where B6/C6 have 4.
-3. B_n vs C_n (n >= 3) splits on the pairing gr^2 x gr^{2n-3} ->
+1. The graded dimensions of a nilradical are the degree histogram of
+   its positive roots, the dual partition of the exponents (Kostant,
+   1959).  The candidates are the types of rank dim gr^1 with that
+   histogram; D3 is left out, being the A3 presentation.  Among the
+   types of one rank only B_n and C_n share a histogram, so at most
+   these two remain, and an input with no candidate is rejected.
+2. B_n vs C_n (n >= 3) splits on the pairing gr^2 x gr^{2n-3} ->
    gr^{2n-1}: its right kernel is trivial for B_n and nontrivial for
    C_n.  B2 = C2 is a genuine coincidence and reports as an alias,
    as do A1 = B1 = C1 and A3 = D3.
-
-A final cross-check compares the full graded dimension sequence with
-the named type's degree histogram, so inputs that merely collide in
-(rank, dimension) are rejected rather than guessed.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from .nilalg import (
     lower_central_series,
     right_null_space,
 )
-from .rootsys import SimpleType, build_root_system, degree_histogram
+from .rootsys import SimpleType, all_types, build_root_system, degree_histogram
 
 DEFAULT_MAX_RANK = 12
 
@@ -46,24 +43,13 @@ class UnrecognizedAlgebraError(Exception):
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Basis-independent identification key of a nilpotent algebra.
-
-    bc_family is filled in only when the B/C discriminator actually ran
-    for this algebra; it stays None otherwise.
-    """
+    """Basis-independent invariants of a nilpotent algebra."""
 
     rank: int
     nil_dim: int
     simple_dim: int
     graded_dims: tuple[int, ...]
     nilpotency_class: int
-    bc_family: str | None = None
-
-    def graded_dim(self, degree: int) -> int:
-        """dim gr^degree, 0 beyond the nilpotency class."""
-        if 1 <= degree <= len(self.graded_dims):
-            return self.graded_dims[degree - 1]
-        return 0
 
 
 @dataclass(frozen=True)
@@ -83,11 +69,10 @@ def _graded_of(a: NilpotentAlgebra | GradedAlgebra,
     return graded(a, filtration if filtration is not None else lower_central_series(a))
 
 
-def fingerprint(a: NilpotentAlgebra | GradedAlgebra,
-                filtration: Filtration | None = None) -> Fingerprint:
+def fingerprint(a: NilpotentAlgebra | GradedAlgebra) -> Fingerprint:
     """Invariants of a: rank, dimensions, graded dimension sequence.
     a may be the algebra or its graded algebra (see _graded_of)."""
-    g = _graded_of(a, filtration)
+    g = _graded_of(a, None)
     dims = g.dims
     rank = dims[0]
     n = g.algebra.dim
@@ -113,23 +98,6 @@ def simple_dimension(t: SimpleType) -> int:
         return _EXCEPTIONAL_DIMS[(t.family, n)]
     except KeyError:
         raise ValueError(f"no simple algebra of type {t}") from None
-
-
-def dimension_table_lookup(rank: int, simple_dim: int) -> set[SimpleType]:
-    """All canonical types of this rank with the given dimension.
-
-    D3 never appears (it is the A3 presentation), so the only possible
-    multi-element results are {B_n, C_n} and {E6, B6, C6}.
-    """
-    if rank < 1:
-        return set()
-    candidates = [SimpleType("A", rank)]
-    if rank >= 2:
-        candidates += [SimpleType("B", rank), SimpleType("C", rank)]
-    if rank >= 4:
-        candidates.append(SimpleType("D", rank))
-    candidates += [SimpleType(f, r) for (f, r) in _EXCEPTIONAL_DIMS if r == rank]
-    return {t for t in candidates if simple_dimension(t) == simple_dim}
 
 
 def bc_discriminator(a: NilpotentAlgebra, n: int, g: GradedAlgebra | None = None) -> str:
@@ -172,44 +140,22 @@ def identify(
     and NotNilpotentError when a is not nilpotent at all.
     """
     g = _graded_of(a, filtration)
-    fp = fingerprint(g)
-    if fp.rank > max_rank:
+    rank = g.dims[0]
+    if rank > max_rank:
         raise UnrecognizedAlgebraError(
-            f"rank {fp.rank} exceeds the identification bound {max_rank}"
+            f"rank {rank} exceeds the identification bound {max_rank}"
         )
-    candidates = dimension_table_lookup(fp.rank, fp.simple_dim)
+    candidates = [  # all_types lists B_n before C_n
+        t for t in all_types(rank)
+        if t.rank == rank and t != SimpleType("D", 3)
+        and tuple(degree_histogram(build_root_system(t))) == g.dims
+    ]
     if not candidates:
         raise UnrecognizedAlgebraError(
-            f"no simple algebra has rank {fp.rank} and dimension {fp.simple_dim}"
+            f"graded dimensions {g.dims} are the degree histogram of no "
+            f"simple type of rank {rank}"
         )
-
-    families = {t.family for t in candidates}
-    if families == {"E", "B", "C"}:
-        if fp.graded_dim(4) == 5:
-            candidates = {SimpleType("E", 6)}
-        elif fp.graded_dim(4) == 4:
-            candidates = {SimpleType("B", 6), SimpleType("C", 6)}
-        else:
-            raise UnrecognizedAlgebraError(
-                "degree-4 graded dimension matches neither E6 nor B6/C6"
-            )
-
-    if len(candidates) == 1:
-        canonical = candidates.pop()
-    else:  # {B_n, C_n}
-        n = fp.rank
-        if n == 2:
-            canonical = SimpleType("B", 2)
-        else:
-            try:
-                canonical = SimpleType(bc_discriminator(g.algebra, n, g), n)
-            except ValueError as exc:
-                raise UnrecognizedAlgebraError(str(exc)) from None
-
-    expected = tuple(degree_histogram(build_root_system(canonical)))
-    if fp.graded_dims != expected:
-        raise UnrecognizedAlgebraError(
-            f"graded dimensions {fp.graded_dims} do not match the degree "
-            f"histogram of {canonical}"
-        )
+    canonical = candidates[0]
+    if len(candidates) == 2 and rank >= 3:  # B_n and C_n
+        canonical = SimpleType(bc_discriminator(g.algebra, rank, g), rank)
     return Identification(canonical, _aliases(canonical))

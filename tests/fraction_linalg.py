@@ -20,6 +20,35 @@ import numpy as np
 from lienil.exactlin import Matrix, Subspace
 
 
+def identity(n: int) -> Matrix:
+    return Matrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], n)
+
+
+def zeros(rows: int, cols: int) -> Matrix:
+    return Matrix.from_rows([[0] * cols for _ in range(rows)], cols)
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix.from_rows([[row[j] for row in m.entries] for j in range(m.cols)], m.rows)
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b, entry by entry."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    cols = transpose(b).entries
+    return Matrix.from_rows(
+        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries], b.cols)
+
+
+def full(ambient: int) -> Subspace:
+    return Subspace(ambient, identity(ambient))
+
+
+def pivots(s: Subspace) -> tuple[int, ...]:
+    return tuple(next(j for j, x in enumerate(row) if x) for row in s.basis.entries)
+
+
 def rref(m: Matrix) -> Matrix:
     """Canonical reduced row echelon form with zero rows dropped."""
     work = [list(r) for r in m.entries]
@@ -78,7 +107,7 @@ def inverse(m: Matrix) -> Matrix:
 def change_basis(a, m: Matrix) -> dict:
     """Constants of a in the basis given by the rows of m, as a dict:
     c'[i,j,k] = sum m[i,a] m[j,b] c[a,b,c] m^-1[c,k], computed with
-    Matrix @ on the full antisymmetric table."""
+    matmul on the full antisymmetric table."""
     n = a.dim
     table = [[Fraction(0)] * n for _ in range(n * n)]
     for (i, j), terms in a.constants.items():
@@ -89,7 +118,7 @@ def change_basis(a, m: Matrix) -> dict:
         [m.entries[i][p] * m.entries[j][q] for p in range(n) for q in range(n)]
         for i in range(n) for j in range(n)
     ])
-    new = pairs @ (Matrix.from_rows(table) @ inverse(m))
+    new = matmul(pairs, matmul(Matrix.from_rows(table), inverse(m)))
     out = {}
     for i in range(n):
         for j in range(i + 1, n):

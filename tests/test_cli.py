@@ -178,8 +178,8 @@ def test_save_load_round_trip_of_scrambled_table(tmp_path):
     # Scrambled constants are dense rationals; the compact file must
     # read back as the same algebra.
     a = nilradical(build_root_system(SimpleType("B", 3)))
-    m = Matrix.from_rows(random_unimodular(a.dim, 5)) @ Matrix.from_rows(
-        [[F(1, k + 2) if i == k else 0 for k in range(a.dim)] for i in range(a.dim)])
+    m = oracle.matmul(Matrix.from_rows(random_unimodular(a.dim, 5)), Matrix.from_rows(
+        [[F(1, k + 2) if i == k else 0 for k in range(a.dim)] for i in range(a.dim)]))
     b = change_basis(a, m)
     assert any(v.denominator > 1 for terms in b.constants.values() for _, v in terms)
     path = tmp_path / "b3.json"
@@ -579,6 +579,19 @@ def test_exit_1_unrecognized(tmp_path, capsys):
     path.write_text(json.dumps({"format_version": 1, "dim": 3, "brackets": []}))
     code, _, err = run(["identify", str(path)], capsys)
     assert code == 1 and "unrecognized" in err
+
+
+@pytest.mark.parametrize("a, dims", [
+    (NilpotentAlgebra(3, {}), "(3,)"),
+    (NilpotentAlgebra(6, {(0, 1): ((3, F(1)),), (0, 2): ((4, F(1)),), (1, 2): ((5, F(1)),)}),
+     "(3, 3)"),  # free two-step on three generators: rank and dim of A3
+], ids=["abelian", "free-two-step"])
+def test_exit_1_names_the_graded_dimensions(tmp_path, capsys, a, dims):
+    path = tmp_path / "table.json"
+    cli.save_algebra(str(path), a)
+    assert run(["identify", str(path)], capsys) == (
+        1, "", f"error: unrecognized: graded dimensions {dims} are the degree histogram "
+               f"of no simple type of rank 3\n")
 
 
 def test_identify_heisenberg_is_a2(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Tests for the identification procedure.
 
-Oracles: the rank/dimension table of the simple algebras (n(n+2),
-n(2n+1), n(2n-1), 78, 133, 248, 52, 14), the degree-4 graded dimension
-that separates E6 from B6/C6, and the right-kernel split between B_n
-and C_n.  Round trips go through seeded unimodular basis changes, so
-identification is exercised on constants that carry no trace of the
-root order.
+Its two steps are tested against independent facts: the graded
+dimensions of each nilradical equal its type's degree histogram, and
+among the types of one rank only B_n and C_n share a histogram; the
+right kernel of gr^2 x gr^{2n-3} -> gr^{2n-1} then splits B_n from C_n.
+The rank/dimension table of the simple algebras (n(n+2), n(2n+1),
+n(2n-1), 78, 133, 248, 52, 14) checks simple_dimension.  Round trips go
+through seeded unimodular basis changes, so identification is exercised
+on constants that carry no trace of the root order.
 """
 
 from fractions import Fraction
@@ -14,19 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lienil import fingerprint as fingerprint_module
 from lienil.chevalley import nilradical
 from lienil.exactlin import random_unimodular
 from lienil.fingerprint import (
     Identification,
     UnrecognizedAlgebraError,
     bc_discriminator,
-    dimension_table_lookup,
     fingerprint,
     identify,
     simple_dimension,
 )
 from lienil.nilalg import NilpotentAlgebra, NotNilpotentError, change_basis
-from lienil.rootsys import SimpleType, all_types, build_root_system
+from lienil.rootsys import SimpleType, all_types, build_root_system, degree_histogram
 
 F = Fraction
 
@@ -49,7 +51,6 @@ def test_a2_fingerprint():
     assert fp.simple_dim == 8
     assert fp.graded_dims == (2, 1)
     assert fp.nilpotency_class == 2
-    assert fp.bc_family is None
 
 
 def test_one_dimensional_abelian_fingerprint():
@@ -62,7 +63,7 @@ def test_e6_fingerprint_dimensions():
     fp = fingerprint(nil("E6"))
     assert fp.rank == 6
     assert fp.simple_dim == 78
-    assert fp.graded_dim(4) == 5
+    assert fp.graded_dims[3] == 5  # dim gr^4; B6 and C6 have 4
 
 
 def test_fingerprint_invariants_hold_for_all_small_types():
@@ -73,12 +74,6 @@ def test_fingerprint_invariants_hold_for_all_small_types():
         assert fp.graded_dims[0] == fp.rank
         assert fp.simple_dim == 2 * fp.nil_dim + fp.rank
         assert len(fp.graded_dims) == fp.nilpotency_class
-
-
-def test_graded_dim_is_zero_beyond_class():
-    fp = fingerprint(nil("A2"))
-    assert fp.graded_dim(3) == 0
-    assert fp.graded_dim(99) == 0
 
 
 def test_fingerprint_rejects_non_nilpotent_input():
@@ -106,45 +101,19 @@ def test_simple_dimension_rejects_invalid_exceptional():
         simple_dimension(SimpleType("E", 9))
 
 
-def test_lookup_e6_collision():
-    assert dimension_table_lookup(6, 78) == {t("E6"), t("B6"), t("C6")}
-
-
-def test_lookup_rank3_collapses_d3():
-    assert dimension_table_lookup(3, 15) == {t("A3")}
-
-
-def test_lookup_singletons():
-    assert dimension_table_lookup(2, 14) == {t("G2")}
-    assert dimension_table_lookup(1, 3) == {t("A1")}
-    assert dimension_table_lookup(4, 52) == {t("F4")}
-
-
-def test_lookup_bc_pairs():
-    for n in range(2, 9):
-        expected = {SimpleType("B", n), SimpleType("C", n)}
-        if n == 6:
-            expected.add(t("E6"))  # the one three-way collision at (6, 78)
-        assert dimension_table_lookup(n, n * (2 * n + 1)) == expected
-
-
-def test_lookup_no_match_is_empty():
-    assert dimension_table_lookup(3, 9) == set()
-    assert dimension_table_lookup(0, 3) == set()
-
-
-def test_lookup_never_returns_other_collisions():
+def test_only_b_and_c_share_a_degree_histogram():
+    # identify rests on this: the graded dimensions pin the type of a
+    # rank, up to B_n/C_n (D3 is the A3 presentation).
     for rank in range(1, 13):
-        dims = {}
+        by_hist = {}
         for fam in ("A", "B", "C", "D", "E", "F", "G"):
             tt = SimpleType(fam, rank)
-            if tt.is_valid() and not (fam == "D" and rank == 3):
-                dims.setdefault(simple_dimension(tt), set()).add(tt)
-        for dim, group in dims.items():
-            assert dimension_table_lookup(rank, dim) == group
-            if len(group) > 1:
-                fams = {x.family for x in group}
-                assert fams == {"B", "C"} or fams == {"E", "B", "C"}
+            if tt.is_valid() and tt != t("D3"):
+                hist = tuple(degree_histogram(build_root_system(tt)))
+                by_hist.setdefault(hist, set()).add(tt)
+        shared = [group for group in by_hist.values() if len(group) > 1]
+        expected = [{SimpleType("B", rank), SimpleType("C", rank)}] if rank >= 2 else []
+        assert shared == expected, rank
 
 
 # ------------------------------------------------------------- B/C splitting
@@ -196,6 +165,22 @@ def test_scrambled_identification_builds_no_fraction(name, monkeypatch):
     assert ident.canonical == t(name)
 
 
+def test_identify_runs_bc_discriminator_only_for_b_and_c(monkeypatch):
+    calls = []
+    real = fingerprint_module.bc_discriminator
+
+    def counting(a, n, g=None):
+        calls.append(n)
+        return real(a, n, g)
+
+    monkeypatch.setattr(fingerprint_module, "bc_discriminator", counting)
+    for tt in all_types(8):
+        calls.clear()
+        identify(nilradical(build_root_system(tt)))
+        expected = [tt.rank] if tt.family in ("B", "C") and tt.rank >= 3 else []
+        assert calls == expected, tt
+
+
 def test_identify_aliases():
     assert identify(nil("A1")) == Identification(t("A1"), (t("B1"), t("C1")))
     assert identify(nil("B2")) == Identification(t("B2"), (t("C2"),))
@@ -224,14 +209,14 @@ def test_identify_e6_not_b6_c6_after_obfuscation():
 
 
 def test_identify_rejects_wrong_rank_dimension():
-    # 3-dim abelian: rank 3 with simple_dim 9 hits no table row.
-    with pytest.raises(UnrecognizedAlgebraError):
+    # 3-dim abelian: graded dims (3,) are no histogram of rank 3.
+    with pytest.raises(UnrecognizedAlgebraError, match=r"graded dimensions \(3,\)"):
         identify(NilpotentAlgebra(3, {}))
 
 
 def test_identify_rejects_right_dimensions_wrong_profile():
-    # Free two-step algebra on three generators: rank 3, dim 6, so
-    # simple_dim 15 matches A3, but graded dims (3, 3) != (3, 2, 1).
+    # Free two-step algebra on three generators: rank 3 and dim 6 as
+    # for A3, but graded dims (3, 3) != (3, 2, 1).
     free2 = NilpotentAlgebra(
         6,
         {
@@ -240,7 +225,7 @@ def test_identify_rejects_right_dimensions_wrong_profile():
             (1, 2): ((5, F(1)),),
         },
     )
-    with pytest.raises(UnrecognizedAlgebraError):
+    with pytest.raises(UnrecognizedAlgebraError, match=r"graded dimensions \(3, 3\)"):
         identify(free2)
 
 

@@ -211,7 +211,7 @@ def test_abelian_series():
     f = lower_central_series(abelian(4))
     assert f.dims == (4, 0)
     assert f.nilpotency_class == 1
-    assert f.terms[0] == Subspace.full(4)
+    assert f.terms[0] == oracle.full(4)
     assert f.terms[1] == Subspace.zero(4)
 
 
@@ -393,7 +393,7 @@ def test_graded_dims():
 
 def test_graded_reps_are_standard_vectors_for_canonical_table():
     g = graded(N4)
-    eye = Matrix.identity(6)
+    eye = oracle.identity(6)
     assert g.piece(1).entries == eye.entries[:3]
     assert g.piece(2).entries == eye.entries[3:5]
     assert g.piece(3).entries == eye.entries[5:]
@@ -431,8 +431,8 @@ def test_pairing_above_class_is_zero():
     g = graded(H3)
     p = graded_pairing(g, 1, 2)
     assert p.target_dim == 0
-    assert right_kernel(p) == Subspace.full(1)
-    assert left_kernel(p) == Subspace.full(2)
+    assert right_kernel(p) == oracle.full(1)
+    assert left_kernel(p) == oracle.full(2)
 
 
 def test_upper_triangular_pairing_kernels():
@@ -453,7 +453,7 @@ def test_pairing_with_a_denominator_beyond_int64():
     assert right_kernel(p) == Subspace.zero(2)
     p = graded_pairing(g, 1, 2)
     assert p.target_dim == 0 and p.tensor == (((),), ((),))
-    assert left_kernel(p) == Subspace.full(2)
+    assert left_kernel(p) == oracle.full(2)
 
 
 def test_pairing_degree_bounds():
@@ -483,7 +483,7 @@ def _pairing_by_brackets(g: GradedAlgebra, i: int, j: int):
         target, tail = g.piece(i + j), g.filtration.terms[i + j]
     tagged = [(next(c for c, x in enumerate(row) if x), r, row)
               for r, row in enumerate(target.entries)]
-    tagged += [(p, -1, row) for p, row in zip(tail.pivots(), tail.basis.entries)]
+    tagged += [(p, -1, row) for p, row in zip(oracle.pivots(tail), tail.basis.entries)]
     tagged.sort(key=lambda item: item[0])
 
     def coords(w):
@@ -586,7 +586,7 @@ def test_pairing_representative_independence_on_scrambled_tables(name):
 
 
 def test_change_basis_identity():
-    assert change_basis(N4, Matrix.identity(6)) == N4
+    assert change_basis(N4, oracle.identity(6)) == N4
 
 
 def test_change_basis_permutation():
@@ -608,7 +608,7 @@ def test_change_basis_rejects_singular():
 
 def test_change_basis_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        change_basis(H3, Matrix.identity(4))
+        change_basis(H3, oracle.identity(4))
 
 
 @settings(max_examples=15, deadline=None)
@@ -616,7 +616,7 @@ def test_change_basis_rejects_wrong_shape():
 def test_change_basis_composes(s0, s1):
     m0 = unimodular_matrix(3, s0)
     m1 = unimodular_matrix(3, s1)
-    assert change_basis(change_basis(H3, m0), m1) == change_basis(H3, m1 @ m0)
+    assert change_basis(change_basis(H3, m0), m1) == change_basis(H3, oracle.matmul(m1, m0))
 
 
 @settings(max_examples=15, deadline=None)
@@ -627,11 +627,11 @@ def test_change_basis_preserves_brackets(seed):
     m = unimodular_matrix(6, seed)
     b = change_basis(N4, m)
     x_new, y_new = (1, 0, 2, 0, -1, 0), (0, 1, 0, 3, 0, 1)
-    x_old = (Matrix.from_rows([x_new]) @ m).row(0)
-    y_old = (Matrix.from_rows([y_new]) @ m).row(0)
+    x_old = oracle.matmul(Matrix.from_rows([x_new]), m).entries[0]
+    y_old = oracle.matmul(Matrix.from_rows([y_new]), m).entries[0]
     w_old = bracket(N4, x_old, y_old)
     w_new = bracket(b, x_new, y_new)
-    assert (Matrix.from_rows([w_new]) @ m).row(0) == w_old
+    assert oracle.matmul(Matrix.from_rows([w_new]), m).entries[0] == w_old
 
 
 def _basis_matrices(n):
@@ -641,8 +641,8 @@ def _basis_matrices(n):
     diagonal = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=7)
                         .filter(bool), min_size=n, max_size=n)
     scaled = st.tuples(unimodular, diagonal).map(
-        lambda md: md[0] @ Matrix.from_rows(
-            [[md[1][i] if i == k else 0 for k in range(n)] for i in range(n)]))
+        lambda md: oracle.matmul(md[0], Matrix.from_rows(
+            [[md[1][i] if i == k else 0 for k in range(n)] for i in range(n)])))
     entry = st.fractions(min_value=-4, max_value=4, max_denominator=5)
     dense = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n).map(
         Matrix.from_rows)
