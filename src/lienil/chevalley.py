@@ -117,8 +117,10 @@ class JacobiReport:
     triples_checked: int
 
 
-# Cap on the float64 entries of one residue product in verify_jacobi.
-_TILE_ENTRIES = 2**19
+# Cap on the float64 entries of one block's products in verify_jacobi
+# (a block of one x may exceed it), and on one batch of Jacobiators.
+_BLOCK_ENTRIES = 2**20
+_BATCH_ENTRIES = 2**15
 
 
 def jacobi_primes(a: NilpotentAlgebra) -> tuple[int, ...]:
@@ -137,35 +139,52 @@ def verify_jacobi(a: NilpotentAlgebra) -> JacobiReport:
         J[x,y,z,r] = sum_m T[x,y,m] T[m,z,r] + T[y,z,m] T[m,x,r] + T[z,x,m] T[m,y,r],
 
     so |J| <= 3 * n * tmax^2.  J is alternating in x, y, z, and only
-    sorted triples x < y < z are computed and reported.
+    sorted triples x < y < z are computed and reported.  Over the pairs
+    a < b let P[ab,c,r] = sum_m T[a,b,m] T[m,c,r]; by antisymmetry
+
+        J[x,y,z] = P[xy,z] - P[xz,y] + P[yz,x],
+
+    so one product of the pair rows of T against T gives all three terms.
 
     The check is exact, not probabilistic.  J is computed modulo each
-    prime p of jacobi_primes(a) as three residue matrix products on
-    float64 BLAS (ik.residue_matmul): every dot product is an integer
-    of at most n * (p - 1)^2 < 2^53, so no rounding occurs, and each
-    product is reduced mod p before any sum.  The primes multiply to
-    more than 3 * n * tmax^2, so an entry of J that vanishes modulo all
-    of them is 0.  Each product fills at most max(_TILE_ENTRIES, n^2)
-    float64 entries (4 MiB for n <= 724), so no n^4 array is allocated.
+    prime p of jacobi_primes(a), whose product exceeds 3 * n * tmax^2,
+    so an entry of J that vanishes modulo all of them is 0.  With the
+    residues of T in [0, p), each entry of P is an integer in
+    [0, n (p - 1)^2], and the sum J' of the three unreduced terms has
+    |J'| <= 2 n (p - 1)^2 < 2^53 for n <= 1024 (p < 2^21): float64 BLAS
+    and the sum are exact, and J' = J mod p.  p divides J' iff the
+    float64 quotient J' / p is an integer: |J' / p| < 2^33, so the
+    correctly rounded quotient is off by at most 2^-21 < 1 / p, which
+    cannot carry a quotient that is not an integer onto one.
+
+    The work goes in blocks of consecutive x: the pair rows (x, .) of
+    the block against every column (c, r) with c >= x0 give the first
+    two terms, and the pair rows (y, z), y > x0, against the block's
+    columns give the third (a slice of the first product when one block
+    covers every x).  A block's products hold at most _BLOCK_ENTRIES
+    float64 entries, or those of a single x (under 1.5 n^3), so no n^4
+    array is allocated.
 
     triples_checked counts the sorted triples containing a pair with a
     nonzero bracket: only those can fail.
     """
     n = a.dim
+    if 2 * n * (ik.PRIMES[0] - 1) ** 2 >= 2**53:  # the bound above, for every prime
+        raise ValueError(f"the Jacobi check is exact only up to dim 1024, not {n}")
     primes = jacobi_primes(a)
     t, _, _ = a.int_tensor()
-    flagged = np.zeros((n, n, n), dtype=bool)
-    side = max(1, math.isqrt(_TILE_ENTRIES // (n * n)))
+    pairs = np.triu_indices(n, 1)  # the pairs a < b, lexicographic
+    # first[x]: rank of the first sorted triple (x, ., .) in lexicographic order
+    first = np.concatenate(([0], np.cumsum([math.comb(n - 1 - x, 2) for x in range(n)])))
+    flagged = np.zeros(first[-1], dtype=bool)
+    r = np.empty(t.shape)
     for p in primes:
-        r = np.remainder(t, p).astype(np.float64)
-        for x0 in range(0, n, side):
-            xs = slice(x0, x0 + side)
-            for y0 in range(x0, n, side):
-                ys, zs = slice(y0, y0 + side), slice(y0, n)
-                flagged[xs, ys, zs] |= _jacobiator_nonzero(r, p, xs, ys, zs)
-    x, y, z = np.nonzero(flagged)
-    keep = (x < y) & (y < z)
-    violations = tuple(zip(x[keep].tolist(), y[keep].tolist(), z[keep].tolist()))
+        r[...] = np.remainder(t, p)
+        for x0, x1 in _blocks(n):
+            ranks = np.arange(first[x0], first[x1])
+            flagged[ranks] |= _block_flags(r, p, pairs, x0, x1, *_unrank(n, first, ranks))
+    x, q = _unrank(n, first, np.flatnonzero(flagged))
+    violations = tuple(zip(x.tolist(), pairs[0][q].tolist(), pairs[1][q].tolist()))
 
     edge = np.zeros((n, n), dtype=np.int64)
     i, j = a.bracket_pairs()
@@ -175,22 +194,66 @@ def verify_jacobi(a: NilpotentAlgebra) -> JacobiReport:
     return JacobiReport(not violations, violations, math.comb(n, 3) - untouched)
 
 
-def _jacobiator_nonzero(r: np.ndarray, p: int, xs: slice, ys: slice,
-                        zs: slice) -> np.ndarray:
-    """Mask over (x, y, z) in xs * ys * zs: is J[x,y,z,:] nonzero mod p?
+def _pair_start(n: int, x):
+    """Index of the first pair (x, .) among the pairs a < b in
+    lexicographic order (x may be an array)."""
+    return x * n - x * (x + 1) // 2
 
-    r is the structure tensor reduced mod p.  The three products give
-    the terms T[x,y,m] T[m,z,r], T[y,z,m] T[m,x,r] and T[x,z,m] T[m,y,r]
-    (the last one enters J with a minus sign, by antisymmetry).
-    """
+
+def _unrank(n: int, first: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, index of the pair (y, z)) of the sorted triples of these ranks."""
+    x = np.searchsorted(first, ranks, side="right") - 1
+    return x, ranks - first[x] + _pair_start(n, x + 1)
+
+
+def _blocks(n: int):
+    """Consecutive ranges [x0, x1) covering range(n), each as long as
+    the float64 entries of its products fit _BLOCK_ENTRIES, and at
+    least one x."""
+    def entries(x0: int, x1: int) -> int:  # of the products _block_flags makes
+        third = 0 if (x0, x1) == (0, n) else (_pair_start(n, n) - _pair_start(n, x0 + 1)) * (x1 - x0)
+        return ((_pair_start(n, x1) - _pair_start(n, x0)) * (n - x0) + third) * n
+
+    x0 = 0
+    while x0 < n:
+        x1 = x0 + 1
+        while x1 < n and entries(x0, x1 + 1) <= _BLOCK_ENTRIES:
+            x1 += 1
+        yield x0, x1
+        x0 = x1
+
+
+def _block_flags(r: np.ndarray, p: int, pairs: tuple[np.ndarray, np.ndarray],
+                 x0: int, x1: int, x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Is J[x,y,z,:] nonzero mod p, for the sorted triples (x, pairs[q])
+    with x in [x0, x1)?  r is the structure tensor reduced mod p."""
     n = r.shape[0]
-    rx, ry, rz = r[:, xs], r[:, ys], r[:, zs]
-    b, c, w = rx.shape[1], ry.shape[1], rz.shape[1]
-    # Accumulate in place, so at most three tile-sized arrays are live.
-    j = ik.residue_matmul(r[xs, ys].reshape(b * c, n), rz.reshape(n, w * n), p)
-    j = j.reshape(b, c, w, n)
-    j += ik.residue_matmul(r[ys, zs].reshape(c * w, n), rx.reshape(n, b * n), p) \
-        .reshape(c, w, b, n).transpose(2, 0, 1, 3)
-    np.subtract(j, p, out=j, where=j >= p)
-    xzy = ik.residue_matmul(r[xs, zs].reshape(b * w, n), ry.reshape(n, c * n), p)
-    return (j != xzy.reshape(b, w, c, n).transpose(0, 2, 1, 3)).any(axis=3)
+    pa, pb = pairs
+    y, z = pa[q], pb[q]
+    lo, hi = _pair_start(n, x0), _pair_start(n, x1)
+
+    def product(r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        """P over the pairs of rows [r0, r1) and columns [c0, c1), one
+        coordinate r per row: row (pair - r0) * (c1 - c0) + c - c0."""
+        return (r[pa[r0:r1], pb[r0:r1]] @ r[:, c0:c1].reshape(n, -1)).reshape(-1, n)
+
+    w1 = n - x0
+    if (x0, x1) == (0, n):  # the third term's P is a slice of the first's
+        p1 = product(lo, hi, x0, n)
+        p2, lo2, w2 = p1, lo, w1
+    else:  # P[(y, z), c in [x0, x1)], y > x0, made first so its row copy
+        # is freed before the larger P[(x, .), c >= x0]
+        lo2, w2 = _pair_start(n, x0 + 1), x1 - x0
+        p2 = product(lo2, len(pa), x0, x1)
+        p1 = product(lo, hi, x0, n)
+    sx = _pair_start(n, x) - x - 1 - lo  # row of the pair (x, b) is sx + b
+    i1 = (sx + y) * w1 + z - x0
+    i2 = (sx + z) * w1 + y - x0
+    i3 = (q - lo2) * w2 + x - x0
+    out = np.empty(q.size, dtype=bool)
+    batch = max(1, _BATCH_ENTRIES // n)
+    for b in range(0, q.size, batch):
+        s = slice(b, b + batch)
+        quot = (p1[i1[s]] - p1[i2[s]] + p2[i3[s]]) / p
+        out[s] = (np.floor(quot) != quot).any(axis=1)
+    return out

@@ -20,6 +20,7 @@ pieces.  The decision takes two steps:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .nilalg import (
     Filtration,
@@ -118,6 +119,12 @@ def bc_discriminator(a: NilpotentAlgebra, n: int, g: GradedAlgebra | None = None
     return "B" if right_null_space(p).dim == 0 else "C"
 
 
+@cache
+def _degree_histogram(t: SimpleType) -> tuple[int, ...]:
+    """t's degree histogram, from a root system built once per type."""
+    return tuple(degree_histogram(build_root_system(t)))
+
+
 def _aliases(canonical: SimpleType) -> tuple[SimpleType, ...]:
     if canonical == SimpleType("A", 1):
         return (SimpleType("B", 1), SimpleType("C", 1))
@@ -148,7 +155,7 @@ def identify(
     candidates = [  # all_types lists B_n before C_n
         t for t in all_types(rank)
         if t.rank == rank and t != SimpleType("D", 3)
-        and tuple(degree_histogram(build_root_system(t))) == g.dims
+        and _degree_histogram(t) == g.dims
     ]
     if not candidates:
         raise UnrecognizedAlgebraError(

@@ -19,6 +19,7 @@ Root/Fraction construction that the integer tables replaced
 
 import json
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from lienil import _intkernel as ik
+from lienil import chevalley
 from lienil.chevalley import JacobiReport, jacobi_primes, nilradical, verify_jacobi
 from lienil.cli import algebra_to_payload
 from lienil.exactlin import random_unimodular
@@ -313,6 +315,39 @@ def lie_tables(draw):
 def test_verify_jacobi_matches_loop(a):
     note(f"{len(jacobi_primes(a))} residue primes")
     assert verify_jacobi(a) == _jacobi_by_loop(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_tables(), lie_tables()), st.sampled_from([0, 200, 700]),
+       st.sampled_from([1, 20, 100]))
+def test_verify_jacobi_blocks_match_loop(a, block_entries, batch_entries):
+    # Budgets this small split dim <= 8 into blocks of one x or a few,
+    # and the Jacobiators into batches down to one triple.
+    with patch.object(chevalley, "_BLOCK_ENTRIES", block_entries), \
+            patch.object(chevalley, "_BATCH_ENTRIES", batch_entries):
+        note(f"blocks {list(chevalley._blocks(a.dim))}")
+        assert verify_jacobi(a) == _jacobi_by_loop(a)
+
+
+def test_small_budget_splits_into_blocks():
+    with patch.object(chevalley, "_BLOCK_ENTRIES", 0):
+        assert list(chevalley._blocks(5)) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    with patch.object(chevalley, "_BLOCK_ENTRIES", 700):
+        assert len(list(chevalley._blocks(8))) > 1
+    assert list(chevalley._blocks(8)) == [(0, 8)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_no_triples_below_dim_three(dim):
+    constants = {(0, 1): ((0, 1), (1, 1))} if dim == 2 else {}
+    assert verify_jacobi(NilpotentAlgebra(dim, constants)) == JacobiReport(True, (), 0)
+
+
+def test_dim_above_1024_is_refused_before_the_tensor_is_built():
+    a = NilpotentAlgebra(1025, {})
+    with pytest.raises(ValueError, match="up to dim 1024"):
+        verify_jacobi(a)
+    assert a._tensor is None
 
 
 def test_prime_count_follows_bound():

@@ -472,6 +472,45 @@ def test_exit_2_jacobi_violation(tmp_path, capsys):
     assert code == 2 and "Jacobi" in err
 
 
+@pytest.mark.parametrize("seed, message", [
+    (None, "4 basis triples (first: (0, 1, 2), (0, 1, 5), (0, 1, 6))"),
+    (1, "63 basis triples (first: (0, 2, 10), (0, 2, 12), (0, 2, 15))"),
+])
+def test_exit_2_jacobi_message_is_pinned(seed, message, tmp_path, capsys):
+    # C4 with its first constant negated, as emitted and scrambled: the
+    # count of failing sorted triples and the first three, in order.
+    a = nilradical(build_root_system(SimpleType("C", 4)))
+    constants = dict(a.constants)
+    key = min(constants)
+    ((k, v),) = constants[key]
+    constants[key] = ((k, -v),)
+    bad = NilpotentAlgebra(a.dim, constants)
+    if seed is not None:
+        bad = change_basis(bad, random_unimodular(a.dim, seed))
+    path = tmp_path / "bad.json"
+    cli.save_algebra(str(path), bad)
+    assert run(["identify", str(path)], capsys) == (
+        2, "", f"error: Jacobi identity fails on {message}\n")
+
+
+@pytest.mark.parametrize("dim, brackets, code, err", [
+    (1, [], 0, ""),
+    (2, [], 1, "error: unrecognized: graded dimensions (2,) are the degree histogram "
+               "of no simple type of rank 2\n"),
+    (2, [{"i": 0, "j": 1, "terms": [{"k": 1, "num": 1, "den": 1}]}], 1,
+     "error: not nilpotent: lower central series stalls before zero\n"),
+])
+def test_identify_below_three_dimensions_passes_jacobi(dim, brackets, code, err, tmp_path,
+                                                      capsys):
+    # No basis triple exists, so only the series and the match decide.
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"format_version": 1, "dim": dim, "brackets": brackets}))
+    got, out, got_err = run(["identify", str(path)], capsys)
+    assert (got, got_err) == (code, err)
+    if code == 0:
+        assert json.loads(out)["canonical"] == "A1"
+
+
 def test_exit_1_not_nilpotent(tmp_path, capsys):
     path = tmp_path / "solv.json"
     path.write_text(json.dumps({

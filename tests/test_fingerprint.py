@@ -181,6 +181,19 @@ def test_identify_runs_bc_discriminator_only_for_b_and_c(monkeypatch):
         assert calls == expected, tt
 
 
+@pytest.mark.parametrize("name", ["C4", "E6"])
+def test_second_identify_builds_no_root_system(name, monkeypatch):
+    # The degree histogram of each type is computed once, then kept.
+    b = change_basis(nil(name), random_unimodular(nil(name).dim, 1))
+    assert identify(b).canonical == t(name)
+    built = []
+    real = fingerprint_module.build_root_system
+    monkeypatch.setattr(fingerprint_module, "build_root_system",
+                        lambda tt: built.append(tt) or real(tt))
+    assert identify(b).canonical == t(name)
+    assert built == []
+
+
 def test_identify_aliases():
     assert identify(nil("A1")) == Identification(t("A1"), (t("B1"), t("C1")))
     assert identify(nil("B2")) == Identification(t("B2"), (t("C2"),))

@@ -17,9 +17,12 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_round_trip_demo():
-    proc = run_script("round_trip_demo.py", "B3", "--seed", "1")
-    assert proc.returncode == 0, proc.stderr
-    assert "matches the canonical identification" in proc.stdout
+    # E6 (dim 36) is large enough that its Jacobi check spans several blocks.
+    for name in ("B3", "E6"):
+        proc = run_script("round_trip_demo.py", name, "--seed", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert "Jacobi holds" in proc.stdout
+        assert "matches the canonical identification" in proc.stdout
 
 
 def test_invariant_table():
