@@ -123,15 +123,16 @@ def compact(a: np.ndarray, a_max: int) -> np.ndarray:
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray, a_max: int | None = None,
-                 b_max: int | None = None) -> np.ndarray:
+                 b_max: int | None = None, b_float: np.ndarray | None = None) -> np.ndarray:
     """a @ b with exact integer results, for int64 or object matrices
     whose largest absolute entries are a_max and b_max (computed when
     not given).
 
     When inner * a_max * b_max is below 2^62 the product runs, and is
-    returned, in int64 (on float64 BLAS below 2^53); otherwise it runs
-    on Python ints.  Arithmetic that mixes an int64 result with an
-    object array promotes it to Python ints, so callers never box.
+    returned, in int64 (on float64 BLAS below 2^53, reading b_float, b
+    in float64, when given); otherwise it runs on Python ints.
+    Arithmetic that mixes an int64 result with an object array promotes
+    it to Python ints, so callers never box.
     """
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=object)
@@ -141,16 +142,19 @@ def exact_matmul(a: np.ndarray, b: np.ndarray, a_max: int | None = None,
         b_max = max_abs(b)
     bound = a.shape[1] * a_max * b_max
     if a_max and b_max and bound < _INT64_SAFE:
-        return _int64_matmul(_as_int64(a), _as_int64(b), bound)
+        return _int64_matmul(_as_int64(a), _as_int64(b), bound, b_float)
     return _as_object(a) @ _as_object(b)
 
 
-def _int64_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+def _int64_matmul(a: np.ndarray, b: np.ndarray, bound: int,
+                  b_float: np.ndarray | None = None) -> np.ndarray:
     """a @ b for int64 matrices with partial dot products within bound <
-    2^62; below 2^53 on float64 BLAS, exact there, a slice of rows at a time."""
+    2^62; below 2^53 on float64 BLAS (b in float64 is b_float, converted
+    here when not given), exact there, a slice of rows at a time."""
     if bound >= _FLOAT64_EXACT:
         return a @ b
-    out, bf = np.empty((a.shape[0], b.shape[1]), dtype=np.int64), b.astype(np.float64)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    bf = b.astype(np.float64) if b_float is None else b_float
     step = 2**17 // max(1, b.shape[1]) + 1
     for lo in range(0, a.shape[0], step):
         out[lo:lo + step] = a[lo:lo + step].astype(np.float64) @ bf
@@ -169,24 +173,38 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def _eliminate(x: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """Gauss-Jordan elimination of int64 residues x mod p in place, one numpy
-    step per column: (pivots, row permutation); reduced rows in x[:rank]."""
+    step per column: (pivots, row permutation); reduced rows in x[:rank],
+    every entry of x reduced mod p on return.
+
+    Reduction is lazy: a step reduces only the column f it searches and
+    the pivot row r, and subtracts f * r from the block unreduced.  Each step
+    moves an entry by less than p^2, so every entry stays within
+    (steps + 1) * p^2 < 2^63 until the one reduction at the end.  Rows
+    stay in place until then: a column's pivot row is the row, among
+    those not yet pivots, with the largest residue there (any nonzero one
+    gives the same reduced rows), and the loop stops when the rows run out.
+    """
     rows, cols = x.shape
-    order = np.arange(rows)
+    assert (min(rows, cols) + 1) * p * p < 2**63, "lazy reduction could overflow"
     piv: list[int] = []
+    prow: list[int] = []
+    free = np.ones(rows, dtype=np.int64)
     for c in range(cols):
-        k = len(piv)
-        nz = np.flatnonzero(x[k:, c])
-        if not nz.size:
+        if len(piv) == rows:
+            break
+        f = x[:, c] % p
+        candidates = f * free
+        i = int(candidates.argmax())
+        if not candidates[i]:
             continue
-        i = k + int(nz[0])
-        if i != k:
-            x[[k, i]] = x[[i, k]]
-            order[[k, i]] = order[[i, k]]
-        x[k, c:] = x[k, c:] * pow(int(x[k, c]), -1, p) % p
-        f = x[:, c].copy()
-        f[k] = 0
-        x[:, c:] = (x[:, c:] - np.outer(f, x[k, c:])) % p
+        r = x[i, c:] % p * pow(int(f[i]), -1, p) % p
+        x[:, c:] -= f[:, None] * r
+        x[i, c:] = r
+        free[i] = 0
         piv.append(c)
+        prow.append(i)
+    order = np.concatenate([np.array(prow, dtype=np.intp), np.flatnonzero(free)])
+    np.remainder(x[order], p, out=x)
     return piv, order
 
 
@@ -223,8 +241,12 @@ def _reconstruct(res: np.ndarray, m: int, piv: list[int], ambient: int) -> "Scal
     entry still large after scaling by the factors so far.  Zeros and
     pivot ones lift to zeros and the denominator: the form is kept."""
     bound = math.isqrt((m - 1) // 2)
-    # int64 holds every product below while m is a single prime.
-    dens = np.ones(len(piv), dtype=np.int64 if m < 2**31 else object)
+    # Every product below is under m * bound: int64 holds them for m up to
+    # two primes.
+    if m * bound < 2**63:
+        res, dens = _as_int64(res), np.ones(len(piv), dtype=np.int64)
+    else:
+        dens = np.ones(len(piv), dtype=object)
     while True:
         y = res * dens[:, None] % m
         y = np.where(y > m // 2, y - m, y)
@@ -248,13 +270,17 @@ def _reconstruct(res: np.ndarray, m: int, piv: list[int], ambient: int) -> "Scal
     return e
 
 
-def _certified_rref(rows: np.ndarray, ambient: int) -> "ScaledRref":
+def _certified_rref(rows: np.ndarray, ambient: int, every_row: bool = True) -> "ScaledRref":
     """The canonical reduced echelon basis of the span of nonzero integer
-    rows.  A base prime gives their rank r mod p and r rows carrying it;
-    the next primes reduce only those.  A candidate, r rows in reduced
-    echelon form, is adopted only if every input row has zero residual
-    against it by an exact product: as r <= rank over Q, the spans agree.
-    So r = ambient proves the whole space, with no reconstruction."""
+    rows.  A base prime gives their rank r mod p and r rows carrying it,
+    independent over Q too; the next primes reduce only those.  A
+    candidate, r rows in reduced echelon form, is adopted only if every
+    input row (every_row) or every one of the r base rows (not every_row)
+    has zero residual against it by an exact product.  With every_row, as
+    r <= rank over Q, the spans agree.  Otherwise the candidate is the
+    exact span of the base rows, which an unlucky base prime leaves short
+    of the whole row span.  r = ambient proves the whole space, with no
+    reconstruction."""
     base = None
     for p in PRIMES:
         if base is None:
@@ -267,17 +293,18 @@ def _certified_rref(rows: np.ndarray, ambient: int) -> "ScaledRref":
             ppiv, _ = _eliminate(x, p)
             if ppiv == piv:
                 t = (x[:len(piv)] - _residues(acc, p)) * pow(m, -1, p) % p  # CRT
-                acc, m = acc + t.astype(object) * m, m * p
+                wide = m * p >= _INT64_SAFE
+                acc, m = (_as_object(acc) + t.astype(object) * m if wide else acc + t * m), m * p
             elif len(ppiv) == len(piv) and ppiv < piv:
                 piv, acc, m = ppiv, x[:len(piv)], p  # earlier pivots: the old primes were unlucky
             else:
                 continue
         cand = _reconstruct(acc, m, piv, ambient)
         if cand is not None:
-            bad = cand.residuals(rows).any(axis=1)
+            bad = cand.residuals(rows if every_row else base).any(axis=1)
             if not bad.any():
                 return cand
-            if not bad[sel].any():
+            if every_row and not bad[sel].any():
                 base = None  # r fell short of the rank: the base prime was unlucky
     raise PrimesExhausted(f"row reduction needs more than the {len(PRIMES)} residue primes")
 
@@ -400,6 +427,14 @@ def rref_from_rows(rows: np.ndarray, ambient: int) -> ScaledRref:
     e = ScaledRref(ambient)
     e.insert_rows(rows)
     return e
+
+
+def rref_of_base_rows(rows: np.ndarray, ambient: int) -> ScaledRref:
+    """The canonical basis of the span of the rows that are independent
+    modulo the base prime, checked against those rows only: the whole row
+    span unless that prime is unlucky, a subspace of it always."""
+    rows = rows[rows.any(axis=1)]
+    return _certified_rref(rows, ambient, every_row=False) if rows.shape[0] else ScaledRref(ambient)
 
 
 def null_space(m: np.ndarray, cols: int) -> ScaledRref:

@@ -75,20 +75,16 @@ def algebra_to_payload(a: NilpotentAlgebra, metadata: dict | None = None) -> dic
     return payload
 
 
-def _require(cond: bool, message: str, *args) -> None:
-    """Raise AlgebraFileError(message.format(*args)) unless cond."""
+def _require(cond: bool, message: str) -> None:
+    """Raise AlgebraFileError(message) unless cond."""
     if not cond:
-        raise AlgebraFileError(message.format(*args))
-
-
-def _as_index(value, upper: int, what: str) -> int:
-    _require(type(value) is int and 0 <= value < upper, "{} must be an integer in [0, {})",
-             what, upper)
-    return value
+        raise AlgebraFileError(message)
 
 
 def algebra_from_payload(payload) -> NilpotentAlgebra:
-    """The algebra of a schema-checked payload, read as integers."""
+    """The algebra of a schema-checked payload, read as integers.  The
+    checks of each bracket and term, thousands in a large file, are
+    inline statements rather than calls."""
     _require(isinstance(payload, dict), "top level must be a JSON object")
     _require(set(payload) <= {"format_version", "dim", "brackets", "metadata"},
              "unknown top-level keys")
@@ -100,27 +96,38 @@ def algebra_from_payload(payload) -> NilpotentAlgebra:
     _require(isinstance(brackets, list), "brackets must be a list")
     terms, pairs = [], set()
     for entry in brackets:
-        _require(isinstance(entry, dict) and entry.keys() == {"i", "j", "terms"},
-                 "each bracket needs exactly the keys i, j, terms")
-        i = _as_index(entry["i"], dim, "i")
-        j = _as_index(entry["j"], dim, "j")
-        _require(i < j, "brackets must be upper-triangular (i < j)")
-        _require((i, j) not in pairs, "duplicate bracket ({}, {})", i, j)
+        if not (isinstance(entry, dict) and entry.keys() == {"i", "j", "terms"}):
+            raise AlgebraFileError("each bracket needs exactly the keys i, j, terms")
+        i, j, entry_terms = entry["i"], entry["j"], entry["terms"]
+        if not (type(i) is int and 0 <= i < dim):
+            raise AlgebraFileError(f"i must be an integer in [0, {dim})")
+        if not (type(j) is int and 0 <= j < dim):
+            raise AlgebraFileError(f"j must be an integer in [0, {dim})")
+        if i >= j:
+            raise AlgebraFileError("brackets must be upper-triangular (i < j)")
+        if (i, j) in pairs:
+            raise AlgebraFileError(f"duplicate bracket ({i}, {j})")
         pairs.add((i, j))
-        _require(isinstance(entry["terms"], list) and entry["terms"],
-                 "terms must be a nonempty list")
+        if not (isinstance(entry_terms, list) and entry_terms):
+            raise AlgebraFileError("terms must be a nonempty list")
         seen = set()
-        for term in entry["terms"]:
-            _require(isinstance(term, dict) and term.keys() == {"k", "num", "den"},
-                     "each term needs exactly the keys k, num, den")
-            k = _as_index(term["k"], dim, "k")
-            _require(k not in seen, "duplicate output index {} in bracket ({}, {})", k, i, j)
+        for term in entry_terms:
+            if not (isinstance(term, dict) and term.keys() == {"k", "num", "den"}):
+                raise AlgebraFileError("each term needs exactly the keys k, num, den")
+            k, num, den = term["k"], term["num"], term["den"]
+            if not (type(k) is int and 0 <= k < dim):
+                raise AlgebraFileError(f"k must be an integer in [0, {dim})")
+            if k in seen:
+                raise AlgebraFileError(f"duplicate output index {k} in bracket ({i}, {j})")
             seen.add(k)
-            num, den = term["num"], term["den"]
-            _require(type(num) is int and type(den) is int, "num and den must be integers")
-            _require(num != 0, "zero terms must be omitted")
-            _require(den >= 1, "den must be positive")
-            _require(math.gcd(num, den) == 1, "fractions must be in lowest terms")
+            if type(num) is not int or type(den) is not int:
+                raise AlgebraFileError("num and den must be integers")
+            if not num:
+                raise AlgebraFileError("zero terms must be omitted")
+            if den < 1:
+                raise AlgebraFileError("den must be positive")
+            if den != 1 and math.gcd(num, den) != 1:
+                raise AlgebraFileError("fractions must be in lowest terms")
             terms.extend((i, j, k, num, den))
     return NilpotentAlgebra._from_terms(dim, terms)
 

@@ -8,16 +8,21 @@ sparse rational table for pairs i < j is a view of it.
 The lower central series takes one product and one row reduction per
 term, and is certified against the definition:
 
-* F_2, the row space of the constant table, is N^2; G, the standard
-  basis vectors at its non-pivot coordinates, spans a complement.
-* F_{l+1} = [F_l, G], so F_l <= N^l for any antisymmetric table, and
-  F_l = N^l in a nilpotent Lie algebra (de Graaf, Lie Algebras: Theory
-  and Algorithms, 2000).
-* Assuming no Jacobi identity, it checks for l >= 2 that F_{l+1} <= F_l
-  and [P_l, e_j] in F_{l+1} for every j, P_l the rows of F_l's canonical
-  basis at pivots F_{l+1} lacks.  As F_l = span P_l + F_{l+1}, induction
-  from the zero term gives [F_l, N] <= F_{l+1}, hence N^l <= F_l = N^l.
-  A failed check falls back to the definition.
+* F_1 = N.  Each later term is the exact span of the bracket rows that
+  are independent modulo the base prime, checked against those rows
+  only (_intkernel.rref_of_base_rows): F_2 from the rows of the
+  constant table, F_{l+1} from the rows of [F_l, G], where G, the
+  standard basis vectors at F_2's non-pivot coordinates, spans a
+  complement of F_2.  So F_{l+1} <= [F_l, N] and F_l <= N^l for any
+  antisymmetric table, and in a nilpotent Lie algebra F_l = N^l
+  unless the base prime is unlucky (de Graaf, Lie Algebras: Theory and
+  Algorithms, 2000).
+* Assuming no Jacobi identity, it checks for every l >= 1 that
+  F_{l+1} <= F_l and [P_l, e_j] in F_{l+1} for every j, P_l the rows of
+  F_l's canonical basis at pivots F_{l+1} lacks (P_1: the generators).
+  As F_l = span P_l + F_{l+1}, induction from the zero term gives
+  [F_l, N] <= F_{l+1}, hence N^l <= F_l <= N^l.  An unlucky base prime
+  only fails a check; a failed check falls back to the definition.
 * A term that repeats, or one nonzero after n + 1 terms, proves that no
   N^l vanishes (F_l <= N^l), and raises NotNilpotentError.
 
@@ -233,10 +238,8 @@ def _direct_series(a: NilpotentAlgebra) -> Filtration | None:
     n = a.dim
     t, _, tmax = a.int_tensor()
 
-    f2 = ik.ScaledRref(n)
     i, j = a.bracket_pairs()
-    if i.size:
-        f2.insert_rows(t[i, j])
+    f2 = ik.rref_of_base_rows(t[i, j], n)
     if f2.dim == n:
         raise NotNilpotentError("derived subalgebra is the whole algebra")
 
@@ -245,13 +248,18 @@ def _direct_series(a: NilpotentAlgebra) -> Filtration | None:
     is_gen = np.ones(n, dtype=bool)
     is_gen[f2.pivots] = False
     gen = np.flatnonzero(is_gen)
-    terms = _iterate([ik.ScaledRref.full(n), f2], t[:, gen, :].reshape(n, gen.size * n), tmax)
+    terms = _iterate([ik.ScaledRref.full(n), f2], t[:, gen, :].reshape(n, gen.size * n), tmax,
+                     ik.rref_of_base_rows)
 
-    for cur, nxt in zip(terms[1:], terms[2:]):
+    # The certificate's products read t in float64, converted once here,
+    # whenever some product can take the float64 route.
+    flat = t.reshape(n, n * n)
+    flat_f = flat.astype(np.float64) if n * tmax < 2**53 else None
+    for cur, nxt in zip(terms, terms[1:]):
         if cur.residuals(nxt.nums).any():
             return None
         p, _ = _complement(cur, nxt)
-        rows = ik.exact_matmul(p, t.reshape(n, n * n), ik.max_abs(p), tmax)
+        rows = ik.exact_matmul(p, flat, ik.max_abs(p), tmax, flat_f)
         if nxt.residuals(rows.reshape(p.shape[0] * n, n)).any():
             return None
     return Filtration(tuple(terms))
@@ -261,19 +269,21 @@ def _definitional_series(a: NilpotentAlgebra) -> Filtration:
     """N^{i+1} as the literal span of [basis(N^i), e_j] at every step."""
     n = a.dim
     t, _, tmax = a.int_tensor()
-    return Filtration(tuple(_iterate([ik.ScaledRref.full(n)], t.reshape(n, n * n), tmax)))
+    return Filtration(tuple(_iterate([ik.ScaledRref.full(n)], t.reshape(n, n * n), tmax,
+                                     ik.rref_from_rows)))
 
 
-def _iterate(terms: list[ik.ScaledRref], table: np.ndarray, tmax: int) -> list[ik.ScaledRref]:
-    """Append the span of basis(terms[-1]) @ table, as rows of length n,
-    until it is zero; see the module docstring for the two raises."""
+def _iterate(terms: list[ik.ScaledRref], table: np.ndarray, tmax: int,
+             span) -> list[ik.ScaledRref]:
+    """Append span(basis(terms[-1]) @ table, as rows of length n) until it
+    is zero; see the module docstring for the two raises."""
     n = terms[0].ambient
     while terms[-1].dim:
         if len(terms) > n + 1:
             raise NotNilpotentError("lower central series does not terminate")
         u = terms[-1].nums
         prod = ik.exact_matmul(u, table, ik.max_abs(u), tmax)
-        nxt = ik.rref_from_rows(prod.reshape(-1, n), n)
+        nxt = span(prod.reshape(-1, n), n)
         if nxt == terms[-1]:
             raise NotNilpotentError("lower central series stalls before zero")
         terms.append(nxt)

@@ -99,6 +99,45 @@ def test_payload_rejects_schema_violations(payload):
         cli.algebra_from_payload(payload)
 
 
+def _one_bracket(*terms, i=0, j=1):
+    return {"format_version": 1, "dim": 3, "brackets": [{"i": i, "j": j, "terms": list(terms)}]}
+
+
+def _term(k=2, num=1, den=1):
+    return {"k": k, "num": num, "den": den}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (_one_bracket(_term(), i=True), "i must be an integer in [0, 3)"),
+        (_one_bracket(_term(), j=3), "j must be an integer in [0, 3)"),
+        (_one_bracket(_term(), i=1, j=1), "brackets must be upper-triangular (i < j)"),
+        (_one_bracket({"k": 2, "num": 1}), "each term needs exactly the keys k, num, den"),
+        (_one_bracket(_term(k=3)), "k must be an integer in [0, 3)"),
+        (_one_bracket(_term(k=-1)), "k must be an integer in [0, 3)"),
+        (_one_bracket(_term(k=True)), "k must be an integer in [0, 3)"),
+        (_one_bracket(_term(k=2.0)), "k must be an integer in [0, 3)"),
+        (_one_bracket(_term(), _term(num=2)), "duplicate output index 2 in bracket (0, 1)"),
+        (_one_bracket(_term(k=1), _term(k=1, num=0)), "duplicate output index 1 in bracket (0, 1)"),
+        (_one_bracket(_term(num=1.0)), "num and den must be integers"),
+        (_one_bracket(_term(den=True)), "num and den must be integers"),
+        (_one_bracket(_term(num="1", den=0)), "num and den must be integers"),
+        (_one_bracket(_term(num=0)), "zero terms must be omitted"),
+        (_one_bracket(_term(num=0, den=-1)), "zero terms must be omitted"),
+        (_one_bracket(_term(den=0)), "den must be positive"),
+        (_one_bracket(_term(num=2, den=-4)), "den must be positive"),
+        (_one_bracket(_term(num=2, den=4)), "fractions must be in lowest terms"),
+        (_one_bracket(_term(num=-6, den=9)), "fractions must be in lowest terms"),
+    ],
+)
+def test_payload_messages_are_pinned(payload, message):
+    # Each term-level check, and the order in which the checks run.
+    with pytest.raises(cli.AlgebraFileError) as err:
+        cli.algebra_from_payload(payload)
+    assert str(err.value) == message
+
+
 @st.composite
 def payloads(draw):
     """Valid payloads of dims 1-6: lowest-terms constants either small

@@ -283,3 +283,85 @@ def test_mod_matmul_matches_object_product(inner):
     b = p - 1 - rng.integers(0, 3, size=(inner, 3))
     want = (a.astype(object) @ b.astype(object)) % p
     assert ik._mod_matmul(a, b, p).tolist() == want.tolist()
+
+
+# ------------------------------------------------------- modular elimination
+
+
+def gauss_jordan_mod(rows: list[list[int]], cols: int, p: int) -> tuple[list[int], list[list[int]]]:
+    """Plain-Python Gauss-Jordan elimination mod p: (pivots, reduced rows)."""
+    m = [[v % p for v in row] for row in rows]
+    piv: list[int] = []
+    for c in range(cols):
+        k = len(piv)
+        i = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[k], m[i] = m[i], m[k]
+        inv = pow(m[k][c], -1, p)
+        m[k] = [v * inv % p for v in m[k]]
+        for r in range(len(m)):
+            if r != k and m[r][c]:
+                f = m[r][c]
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[k])]
+        piv.append(c)
+    return piv, m[:len(piv)]
+
+
+@st.composite
+def residue_blocks(draw):
+    """(rows, cols, p): entries in [0, p), with all p - 1, zero columns,
+    rank-deficient blocks, and more or fewer rows than columns."""
+    p = draw(st.sampled_from([P0, ik.PRIMES[-1]]))
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0), st.just(1), st.just(p - 1), st.integers(0, p - 1))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1)))
+    k = draw(st.integers(0, min(rows, cols)))
+    if draw(st.booleans()):  # rank at most k: residues of a product
+        a = [[draw(entry) for _ in range(k)] for _ in range(rows)]
+        b = [[draw(entry) for _ in range(cols)] for _ in range(k)]
+        x = [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(cols)]
+             for i in range(rows)]
+    else:
+        x = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    x = [[0 if j in zero_cols else v for j, v in enumerate(row)] for row in x]
+    return x, cols, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_blocks())
+@example(([[P0 - 1] * 4] * 6, 4, P0))
+@example(([[0, P0 - 1, 1], [0, 1, P0 - 1]], 3, P0))
+def test_eliminate_matches_plain_gauss_jordan(case):
+    rows, cols, p = case
+    piv, want = gauss_jordan_mod(rows, cols, p)
+    x = np.array(rows, dtype=np.int64).reshape(len(rows), cols)
+    got_piv, order = ik._eliminate(x, p)
+    rank = len(piv)
+    assert got_piv == piv
+    assert x[:rank].tolist() == want
+    assert not x[rank:].any() and ((0 <= x) & (x < p)).all()
+    assert sorted(order.tolist()) == list(range(len(rows)))
+    # The pivot rows may differ from the oracle's; they must be independent.
+    assert len(gauss_jordan_mod([rows[i] for i in order[:rank]], cols, p)[0]) == rank
+
+
+@pytest.mark.parametrize("primes", [1, 2, 3])
+def test_reconstruct_recovers_rows_near_wang_bound(primes):
+    # Rows num / den with |num| and den up to Wang's bound for m: with two
+    # primes the products pass 2^53, with three they pass int64, so every
+    # route of _reconstruct must stay exact.
+    m = math.prod(ik.PRIMES[:primes])
+    bound = math.isqrt((m - 1) // 2)
+    rng = np.random.default_rng(primes)
+    rows, want = [], []
+    for r in range(3):
+        den = bound - int(rng.integers(0, 50))
+        nums = [0, 0, 0] + [int(x) for x in rng.integers(-bound, bound + 1, size=3)]
+        nums[r] = den
+        g = math.gcd(*nums)
+        want.append(([x // g for x in nums], den // g))
+        rows.append([x * pow(den, -1, m) % m for x in nums])
+    res = np.array(rows, dtype=np.int64 if m < 2**62 else object)
+    got = ik._reconstruct(res, m, [0, 1, 2], 6)
+    assert [([int(x) for x in num], int(d)) for num, d in zip(got.nums, got.dens)] == want

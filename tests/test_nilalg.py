@@ -301,6 +301,77 @@ def test_stalled_series_raises_without_fallback(base, monkeypatch):
         lower_central_series(a)
 
 
+P0 = ik.PRIMES[0]
+# Lie algebras whose bracket rows lose rank modulo PRIMES[0], the base
+# prime of every reduction.  In the first, [e0, e3] = P0 e4 vanishes mod
+# P0, so F_2's base rows span only e2 and [F_2, G] = 0: only the check
+# at l = 1 sees that [e0, e3] is not in F_2.  In the second, F_2 and F_3
+# keep their rank and F_4 = [F_3, G] has the single row P0 e4.
+UNLUCKY_AT_F2 = NilpotentAlgebra(5, {(0, 1): ((2, 1),), (0, 3): ((4, P0),)})
+UNLUCKY_LATER = NilpotentAlgebra(
+    5, {(0, 1): ((2, 1),), (0, 2): ((3, 1),), (0, 3): ((4, P0),), (1, 2): ((4, 1),)})
+
+
+@pytest.mark.parametrize("a, dims", [(UNLUCKY_AT_F2, (5, 2, 0)),
+                                     (UNLUCKY_LATER, (5, 3, 2, 1, 0))], ids=["F2", "F4"])
+@pytest.mark.parametrize("seed", [None, 1])
+def test_unlucky_base_prime_falls_back_to_the_definition(a, dims, seed, monkeypatch):
+    # A unimodular change of basis keeps the rank of every term mod P0.
+    if seed is not None:
+        a = change_basis(a, random_unimodular(a.dim, seed))
+    assert verify_jacobi(a).ok
+    ran = []
+    monkeypatch.setattr(nilalg, "_definitional_series",
+                        lambda b: ran.append(b) or _definitional_series(b))
+    f = lower_central_series(a)
+    assert ran == [a]
+    assert f.dims == dims
+    assert f == _definitional_series(a)
+
+
+def test_unlucky_base_prime_still_proves_non_nilpotency():
+    a = _direct_sum(UNLUCKY_AT_F2, 2, {(0, 1): ((1, 1),)})
+    with pytest.raises(NotNilpotentError):
+        lower_central_series(a)
+
+
+def _no_fallback(b):
+    raise AssertionError("the definitional series ran")
+
+
+@pytest.mark.parametrize("t", all_types(6), ids=str)
+def test_fast_path_is_taken_on_every_type(t, monkeypatch):
+    monkeypatch.setattr(nilalg, "_definitional_series", _no_fallback)
+    rs = build_root_system(t)
+    a = nilradical(rs)
+    for b in [a] + [change_basis(a, random_unimodular(a.dim, seed)) for seed in (1, 2)]:
+        assert graded(b).dims == tuple(degree_histogram(rs))
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_fast_path_is_taken_on_scrambled_e7_and_e8(name, monkeypatch):
+    monkeypatch.setattr(nilalg, "_definitional_series", _no_fallback)
+    rs = build_root_system(SimpleType.parse(name))
+    a = nilradical(rs)
+    assert graded(change_basis(a, random_unimodular(a.dim, 1))).dims == tuple(degree_histogram(rs))
+
+
+def test_rational_and_huge_tables_take_the_fast_path(monkeypatch):
+    b3 = nilradical(build_root_system(SimpleType.parse("B3")))
+    t, scale, _ = b3.int_tensor()
+    huge = NilpotentAlgebra._from_scaled(t.astype(object) * 2**200, scale)
+    m = random_unimodular(b3.dim, 3)
+    # Row i of a unimodular matrix scaled by (i + 2) / 3: invertible, rational.
+    rational = Matrix(tuple(tuple(F(x * (i + 2), 3) for x in row) for i, row in enumerate(m)),
+                      b3.dim, b3.dim)
+    cases = [huge, change_basis(b3, rational), change_basis(huge, rational)]
+    want = [_definitional_series(c) for c in cases]
+    monkeypatch.setattr(nilalg, "_definitional_series", _no_fallback)
+    for c, w in zip(cases, want):
+        assert lower_central_series(c) == w
+        assert w.dims == (9, 6, 4, 2, 1, 0)
+
+
 def table_strategy(dim, increasing):
     """Random antisymmetric tables; increasing=True forces nilpotency
     by letting [e_i, e_j] touch only indices above max(i, j)."""
@@ -331,8 +402,28 @@ def test_series_matches_definition_on_nilpotent_tables(a):
     assert all(x > y for x, y in zip(f.dims, f.dims[1:]))
 
 
-@settings(max_examples=40, deadline=None)
-@given(table_strategy(4, increasing=False))
+@st.composite
+def wide_tables(draw):
+    """Tables of dims 2-10 with a few nonzero constants per bracket, up to
+    2^70, integer or rational; increasing ones are nilpotent, others need
+    not be, and neither need satisfy Jacobi."""
+    dim = draw(st.integers(2, 10))
+    increasing = draw(st.booleans())
+    bound = draw(st.sampled_from([3, 2**20, 2**70]))
+    den = st.integers(1, bound) if draw(st.booleans()) else st.just(1)
+    value = st.builds(F, st.integers(-bound, bound).filter(bool), den)
+    constants = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            ks = range(j + 1 if increasing else 0, dim)
+            if ks and draw(st.booleans()):
+                picked = draw(st.lists(st.sampled_from(ks), min_size=1, max_size=2, unique=True))
+                constants[(i, j)] = tuple((k, draw(value)) for k in picked)
+    return NilpotentAlgebra(dim, constants)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(table_strategy(4, increasing=False), wide_tables()))
 def test_series_agrees_with_definition_on_arbitrary_tables(a):
     try:
         f = lower_central_series(a)
@@ -341,6 +432,8 @@ def test_series_agrees_with_definition_on_arbitrary_tables(a):
             _definitional_series(a)
         return
     assert f == _definitional_series(a)
+
+
 
 
 @pytest.mark.parametrize("t", all_types(4), ids=str)
