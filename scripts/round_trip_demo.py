@@ -4,8 +4,10 @@ recover its simple type from the structure constants alone.
 
 Shows the whole pipeline: build, obfuscate, a save and load of the
 scrambled table through the file format, Jacobi check, lower central
-series, associated graded, identify, with timings per stage and the
-number of residue primes the Jacobi check used.  The load is timed
+series, associated graded, identify, and every graded pairing
+gr^i x gr^j -> gr^{i+j} (i <= j, i + j <= class) with its right and
+left kernels, with timings per stage and the number of residue primes
+the Jacobi check used.  The load is timed
 with the first int_tensor() call, which builds the integer tensor.  The series and the
 graded algebra are timed on their own, and identify is handed the
 graded algebra, so the identify time is the rest of identification.
@@ -27,7 +29,8 @@ from lienil.cli import load_algebra, save_algebra
 from lienil.chevalley import jacobi_primes, nilradical, verify_jacobi
 from lienil.exactlin import random_unimodular
 from lienil.fingerprint import identify
-from lienil.nilalg import change_basis, graded, lower_central_series
+from lienil.nilalg import (change_basis, graded, graded_pairing, left_kernel, lower_central_series,
+                           right_kernel)
 from lienil.rootsys import SimpleType, build_root_system
 
 
@@ -61,6 +64,12 @@ def main() -> None:
     t5 = time.perf_counter()
     ident = identify(g)
     t6 = time.perf_counter()
+    cls = series.nilpotency_class
+    pairs = [(i, j) for i in range(1, cls + 1) for j in range(i, cls - i + 1)]
+    for i, j in pairs:
+        p = graded_pairing(g, i, j)
+        right_kernel(p), left_kernel(p)
+    t7 = time.perf_counter()
 
     # Counted on the integer tensor: the Fraction table is never built.
     entries = np.count_nonzero(scrambled.int_tensor()[0]) // 2
@@ -74,6 +83,7 @@ def main() -> None:
     print(f"identified: {ident.canonical}"
           + (f" (aliases: {', '.join(map(str, ident.aliases))})" if ident.aliases else "")
           + f" ({t6 - t5:.3f}s)")
+    print(f"graded pairings: {len(pairs)}, each with both kernels ({t7 - t6:.3f}s)")
     assert ident == identify(a), "round trip disagrees with the canonical answer"
     print("matches the canonical identification")
     # ru_maxrss is in KiB on Linux and in bytes on macOS.

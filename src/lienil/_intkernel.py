@@ -2,26 +2,31 @@
 
 All arithmetic is integer-exact.  This module alone decides how an
 integer array is held: compact() gives int64 when every entry is below
-2^62 and Python ints (object dtype) otherwise.  Bulk products run on
-float64 BLAS when an a-priori bound keeps every partial dot product
-below 2^53, on numpy int64 below 2^62, and otherwise on Python ints, so
-every route gives the same result.  Residue products modulo a word-size
-prime run on float64 BLAS, exact under residue_matmul's bound.
+2^62 and Python ints (object dtype) otherwise, and scale_rows, the one
+row-scaling helper, promotes by an a-priori bound before it multiplies.
+Bulk products run on float64 BLAS when an a-priori bound keeps every
+partial dot product below 2^53, on numpy int64 below 2^62, and
+otherwise on Python ints, so every route gives the same result.
+Residue products modulo a word-size prime run on float64 BLAS, exact
+under residue_matmul's bound.
 
-ScaledRref is the package's only row reduction: the lower central
-series, graded pairings and their kernels, scaled_inverse, and
-exactlin's kernel and inverse all run on it; null_space reads a
-kernel's canonical basis off a single reduction.  It reduces modulo
-primes from PRIMES, with CRT and rational reconstruction under an
-exact certificate (_certified_rref).  Structure constants arrive as
-nilalg's integer tensor, files included; Fractions appear only where
-scaled_int and to_subspace convert rational matrices and row spaces.
+ScaledRref is the package's only row reduction, and its rows stay in
+compact dtype.  The lower central series reduces each term with it, the
+pairing kernels and exactlin's kernel are one null_space reduction
+each, and scaled_inverse (change_basis, exactlin's inverse, and a graded
+piece's coset coordinates when they are not diagonal) reduces [m | sI].
+Graded pairings themselves reduce nothing: they read coordinates off
+the series' canonical rows.  A reduction runs modulo primes from
+PRIMES, with CRT and rational reconstruction under an exact certificate
+(_certified_rref).  Structure constants arrive as nilalg's integer
+tensor, files included; Fractions appear only where scaled_int reads
+rational matrices and where exactlin.rational_rows builds the rational
+views.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -120,6 +125,27 @@ def compact(a: np.ndarray, a_max: int) -> np.ndarray:
     """The integer array a, whose largest absolute entry is a_max, in
     int64 when a_max is below 2^62 and as Python ints otherwise."""
     return _as_int64(a) if a_max < _INT64_SAFE else _as_object(a)
+
+
+def _compacted(a: np.ndarray, bound: int) -> np.ndarray:
+    """a in compact dtype, given bound >= max |a|: at once when the bound
+    is below 2^62, from the actual largest entry otherwise."""
+    return _as_int64(a) if bound < _INT64_SAFE else compact(a, max_abs(a))
+
+
+def scale_rows(a: np.ndarray, f, a_max: int | None = None) -> np.ndarray:
+    """a * f in compact dtype, for an integer array a whose largest
+    absolute entry is a_max (computed when not given) and an integer f,
+    or a column of integer factors, one per row.  The a-priori bound
+    a_max * max |f| picks the route: int64 below 2^62, where the product
+    cannot overflow, and Python ints otherwise."""
+    if a_max is None:
+        a_max = max_abs(a)
+    f = np.asarray(f, dtype=object)
+    bound = max(a_max, 1) * max_abs(f.reshape(-1))  # also bounds f, which int64 must hold
+    if bound < _INT64_SAFE:
+        return _as_int64(a) * f.astype(np.int64)
+    return _compacted(_as_object(a) * f, bound)
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray, a_max: int | None = None,
@@ -266,7 +292,7 @@ def _reconstruct(res: np.ndarray, m: int, piv: list[int], ambient: int) -> "Scal
             dens[i] *= abs(t1)
     g = np.gcd.reduce(y, axis=1) if len(piv) else dens
     e = ScaledRref(ambient)
-    e.pivots, e.nums, e.dens = list(piv), _as_object(y // g[:, None]), (dens // g).tolist()
+    e.pivots, e.nums, e.dens = list(piv), _compacted(y // g[:, None], bound), (dens // g).tolist()
     return e
 
 
@@ -312,9 +338,12 @@ def _certified_rref(rows: np.ndarray, ambient: int, every_row: bool = True) -> "
 class ScaledRref:
     """Canonical reduced row echelon form with scaled-integer rows.
 
-    nums is one integer array with a row per pivot; row r represents
-    nums[r] / dens[r]: it reads 1 at its own pivot column, 0 at every
-    other pivot column, and gcd(content, den) = 1.
+    nums is one integer array with a row per pivot, in compact dtype
+    (int64 when every entry is below 2^62, Python ints otherwise); row
+    r represents nums[r] / dens[r]: it reads 1 at its own pivot column,
+    0 at every other pivot column, and gcd(content, den) = 1.  Every
+    method that writes nums keeps it compact, promoting by an a-priori
+    bound (scale_rows, _compacted), so readers multiply it as it is.
     Because stored rows are fully reduced against each other, reducing
     a vector is a single linear combination rather than an elimination
     cascade, so entry sizes track the canonical basis itself and bulk
@@ -324,14 +353,14 @@ class ScaledRref:
     def __init__(self, ambient: int):
         self.ambient = ambient
         self.pivots: list[int] = []
-        self.nums = np.zeros((0, ambient), dtype=object)
+        self.nums = np.zeros((0, ambient), dtype=np.int64)
         self.dens: list[int] = []
         self._cache: tuple | None = None
 
     @staticmethod
     def full(ambient: int) -> "ScaledRref":
         e = ScaledRref(ambient)
-        e.pivots, e.nums, e.dens = list(range(ambient)), np.eye(ambient, dtype=object), [1] * ambient
+        e.pivots, e.nums, e.dens = list(range(ambient)), np.eye(ambient, dtype=np.int64), [1] * ambient
         return e
 
     def __eq__(self, other) -> bool:
@@ -344,20 +373,13 @@ class ScaledRref:
     def dim(self) -> int:
         return len(self.pivots)
 
-    @property
-    def denominator(self) -> int:
-        """The common denominator d of the stored rows, which scales
-        every residual."""
-        return self._scaled()[2]
-
     def _scaled(self) -> tuple[np.ndarray, np.ndarray, int, int]:
         """(pivot columns, common-denominator numerators in compact
         dtype, denominator, max entry)."""
         if self._cache is None:
             d = math.lcm(1, *self.dens)
-            rnum = self.nums * (d // np.array(self.dens, dtype=object)).reshape(-1, 1)
-            rmax = max_abs(rnum)
-            self._cache = (np.array(self.pivots, dtype=np.intp), compact(rnum, rmax), d, rmax)
+            rnum = scale_rows(self.nums, (d // np.array(self.dens, dtype=object)).reshape(-1, 1))
+            self._cache = (np.array(self.pivots, dtype=np.intp), rnum, d, max_abs(rnum))
         return self._cache
 
     def residuals(self, mat: np.ndarray, mat_max: int | None = None) -> np.ndarray:
@@ -397,13 +419,18 @@ class ScaledRref:
         new = _certified_rref(res, self.ambient)
         if self.pivots:
             _, snum, sd, smax = new._scaled()
-            old = self.nums * sd - exact_matmul(self.nums[:, new.pivots], snum, b_max=smax)
+            nmax = max_abs(self.nums)
+            # Each term is a compact product below 2^62 in int64, so the
+            # int64 difference is exact too; gcd division only shrinks it.
+            old = (scale_rows(self.nums, sd, nmax)
+                   - exact_matmul(self.nums[:, new.pivots], snum, nmax, smax))
             g = np.gcd.reduce(old, axis=1)  # includes the pivot entry, den * sd
             pivots = self.pivots + new.pivots
             dens = (np.array(self.dens, dtype=object) * sd // g).tolist() + new.dens
             at = np.argsort(pivots)
             new.pivots, new.dens = [pivots[i] for i in at], [dens[i] for i in at]
-            new.nums = np.vstack([old // g[:, None], new.nums])[at]
+            old = _compacted(old // g[:, None], nmax * (sd + len(new.pivots) * smax))
+            new.nums = np.vstack([old, new.nums])[at]  # both compact, so the stack is
             new._cache = None
         added = new.dim - self.dim
         self.pivots, self.nums, self.dens, self._cache = new.pivots, new.nums, new.dens, new._cache
@@ -412,15 +439,11 @@ class ScaledRref:
     def to_subspace(self) -> exactlin.Subspace:
         """The span as a canonical rational subspace; the stored rows
         already form the reduced echelon basis, so this is one exact
-        division per entry."""
+        division per distinct entry (exactlin.rational_rows)."""
         if not self.pivots:
             return exactlin.Subspace.zero(self.ambient)
-        rows = [
-            tuple(Fraction(int(x), den) for x in num)
-            for num, den in zip(self.nums, self.dens)
-        ]
-        m = exactlin.Matrix(tuple(rows), len(rows), self.ambient)
-        return exactlin.Subspace(self.ambient, m)
+        rows = exactlin.rational_rows(self.nums.tolist(), self.dens)
+        return exactlin.Subspace(self.ambient, exactlin.Matrix(rows, len(rows), self.ambient))
 
 
 def rref_from_rows(rows: np.ndarray, ambient: int) -> ScaledRref:
@@ -444,17 +467,18 @@ def null_space(m: np.ndarray, cols: int) -> ScaledRref:
     column f gives the vector that is 1 at f, 0 at the other free columns
     and -row_r[f] at c_r (zero unless c_r > f), so it leads at f and is 0
     at the others' leading columns: the reduced echelon basis already."""
-    piv, rnum, d, _ = rref_from_rows(m[:, ::-1], cols)._scaled()
+    piv, rnum, d, rmax = rref_from_rows(m[:, ::-1], cols)._scaled()
     piv, rnum = cols - 1 - piv, rnum[:, ::-1]
     is_free = np.ones(cols, dtype=bool)
     is_free[piv] = False
     free = np.flatnonzero(is_free)
-    vecs = np.zeros((free.size, cols), dtype=object)
+    bound = max(d, rmax)
+    vecs = np.zeros((free.size, cols), dtype=np.int64 if bound < _INT64_SAFE else object)
     vecs[np.arange(free.size), free] = d
     vecs[:, piv] = -rnum[:, free].T
     g = np.gcd.reduce(vecs, axis=1)  # includes the leading d
     e = ScaledRref(cols)
-    e.pivots, e.nums, e.dens = free.tolist(), vecs // g[:, None], (d // g).tolist()
+    e.pivots, e.nums, e.dens = free.tolist(), _compacted(vecs // g[:, None], bound), (d // g).tolist()
     return e
 
 
@@ -465,11 +489,23 @@ def scaled_inverse(mi: np.ndarray, s: int) -> tuple[np.ndarray, int]:
 
     [mi | s * I] reduces to [I | (mi / s)^-1]: V is the right half of
     the reduced rows over their common denominator d.  The rank is
-    always n, so mi is singular iff some pivot lies past column n.
+    always n, so mi is singular iff some pivot lies past column n.  A
+    diagonal mi needs no reduction: its reduced row i is e_i beside
+    s / mi[i, i] in lowest terms.
     """
     n = mi.shape[0]
+    z = np.diagonal(mi).tolist()
+    if not np.count_nonzero(mi) - np.count_nonzero(z):  # diagonal
+        if 0 in z:
+            raise ValueError("matrix is singular")
+        g = [math.gcd(s, x) * (1 if x > 0 else -1) for x in z]
+        dens = [x // gx for x, gx in zip(z, g)]
+        d = math.lcm(1, *dens)
+        v = np.zeros((n, n), dtype=object)
+        v[range(n), range(n)] = [s // gx * (d // den) for gx, den in zip(g, dens)]
+        return compact(v, max_abs(v)), d
     red = rref_from_rows(np.hstack([mi, s * np.eye(n, dtype=object)]), 2 * n)
     if red.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    _, rnum, d, _ = red._scaled()
-    return rnum[:, n:], d
+    _, rnum, d, rmax = red._scaled()
+    return _compacted(rnum[:, n:], rmax), d

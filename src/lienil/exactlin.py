@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import _intkernel as ik
 
 Vector = tuple[Fraction, ...]
@@ -83,6 +85,19 @@ class Subspace:
         return all(x == 0 for x in w)
 
 
+def rational_rows(rows: Sequence[Sequence[int]], dens: Sequence[int]) -> tuple[Vector, ...]:
+    """The rows rows[r] / dens[r] of Fractions.  Each distinct value is
+    built once and shared by every entry that holds it."""
+    memo: dict[int, dict[int, Fraction]] = {}
+    out = []
+    for row, den in zip(rows, dens):
+        seen = memo.setdefault(den, {})
+        for x in set(row).difference(seen):
+            seen[x] = Fraction(x, den)
+        out.append(tuple(map(seen.__getitem__, row)))
+    return tuple(out)
+
+
 def kernel(m: Matrix) -> Subspace:
     """Right null space {v : m @ v = 0} as a canonical subspace: one
     certified reduction of m's scaled integer rows (_intkernel.null_space)
@@ -95,8 +110,7 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse needs a square matrix")
     v, d = ik.scaled_inverse(*ik.scaled_int(m))
-    rows = tuple(tuple(Fraction(x, d) for x in row) for row in v.tolist())
-    return Matrix(rows, m.rows, m.cols)
+    return Matrix(rational_rows(v.tolist(), [d] * m.rows), m.rows, m.cols)
 
 
 def random_unimodular(d: int, seed: int, entry_bound: int = 2**10) -> list[list[int]]:
@@ -108,36 +122,34 @@ def random_unimodular(d: int, seed: int, entry_bound: int = 2**10) -> list[list[
     maintained alongside, and a shear is skipped when it would push an
     entry of either matrix past ``entry_bound``: conjugating by the
     result then keeps all downstream exact arithmetic on small
-    integers.
+    integers.  Both matrices are numpy rows, the inverse transposed so
+    that its columns are rows too, in the dtype _intkernel.compact gives
+    for the largest entry a shear can form, 4 * entry_bound.  A swap
+    only exchanges where two logical rows are stored.
     """
     if d <= 0:
         raise ValueError("dimension must be positive")
     rng = random.Random(seed)
-    work = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    inv = [row[:] for row in work]
+    work = ik.compact(np.eye(d, dtype=np.int64), 4 * entry_bound)
+    inv_t = work.copy()  # inv_t[r] is column r of the inverse
+    at = list(range(d))  # logical row r of both is stored at row at[r]
     steps = 6 * d
     for _ in range(steps):
         op = rng.randrange(3)
         if op == 0 and d >= 2:
             i, j = rng.sample(range(d), 2)
-            work[i], work[j] = work[j], work[i]
-            for row in inv:
-                row[i], row[j] = row[j], row[i]
+            at[i], at[j] = at[j], at[i]
         elif op == 1:
-            i = rng.randrange(d)
-            work[i] = [-x for x in work[i]]
-            for row in inv:
-                row[i] = -row[i]
+            i = at[rng.randrange(d)]
+            work[i] = -work[i]
+            inv_t[i] = -inv_t[i]
         elif d >= 2:
-            i, j = rng.sample(range(d), 2)
+            i, j = (at[r] for r in rng.sample(range(d), 2))
             c = rng.choice([-3, -2, -1, 1, 2, 3])
-            candidate = [a + c * b for a, b in zip(work[i], work[j])]
-            inv_candidate = [row[j] - c * row[i] for row in inv]
-            if (
-                max(abs(x) for x in candidate) <= entry_bound
-                and max(abs(x) for x in inv_candidate) <= entry_bound
-            ):
+            candidate = work[i] + c * work[j]
+            inv_candidate = inv_t[j] - c * inv_t[i]
+            if (np.abs(candidate).max() <= entry_bound
+                    and np.abs(inv_candidate).max() <= entry_bound):
                 work[i] = candidate
-                for row, x in zip(inv, inv_candidate):
-                    row[j] = x
-    return work
+                inv_t[j] = inv_candidate
+    return work[at].tolist()

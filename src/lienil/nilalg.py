@@ -41,7 +41,7 @@ from itertools import groupby
 import numpy as np
 
 from . import _intkernel as ik
-from .exactlin import Matrix, Subspace, vector
+from .exactlin import Matrix, Subspace, rational_rows, vector
 
 Constants = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
 # Nonzero constants c[i][j][k] = num / den, i < j, in lowest terms, den >= 1,
@@ -297,7 +297,7 @@ def _complement(cur: ik.ScaledRref, nxt: ik.ScaledRref) -> tuple[np.ndarray, int
     keep = [r for r, p in enumerate(cur.pivots) if p not in drop]
     dens = np.array([cur.dens[r] for r in keep], dtype=object)
     s = math.lcm(1, *dens)
-    return cur.nums[keep] * (s // dens).reshape(-1, 1), s
+    return ik.scale_rows(cur.nums[keep], (s // dens).reshape(-1, 1)), s
 
 
 class GradedAlgebra:
@@ -310,9 +310,15 @@ class GradedAlgebra:
     representatives being rows / s, and kept in the second form;
     ``pieces`` is the rational view, built on first read.
 
-    graded_pairing caches per degree piece i contracted into the structure
-    tensor (at most n^3 more entries in all, the size of the tensor) and
-    the row space of _target_rref.
+    graded_pairing caches per degree k piece k contracted into the
+    structure tensor (at most n^3 more entries in all, the size of the
+    tensor) and the coordinates of piece k's cosets, read off the
+    filtration's canonical rows (_coset_coordinates).  With F and F'
+    terms k and k+1 and Q the pivots of F that F' lacks, a vector of F
+    is determined modulo F' by its residual against F' at the columns Q.
+    So the representatives are checked once per degree, and the square
+    matrix Z of their residuals at Q, diagonal for graded()'s own
+    pieces, is inverted once; no degree needs a row reduction of its own.
     """
 
     def __init__(self, algebra: NilpotentAlgebra, filtration: Filtration,
@@ -320,12 +326,13 @@ class GradedAlgebra:
         self.algebra, self.filtration = algebra, filtration
         self._scaled = tuple(p if isinstance(p, tuple) else ik.scaled_int(p) for p in pieces)
         self._contracted: dict = {}
-        self._targets: dict = {}
+        self._coordinates: dict = {}
 
     @cached_property
     def pieces(self) -> tuple[Matrix, ...]:
-        return tuple(Matrix(tuple(tuple(Fraction(x, s) for x in row) for row in rows.tolist()),
-                            len(rows), self.algebra.dim) for rows, s in self._scaled)
+        n = self.algebra.dim
+        return tuple(Matrix(rational_rows(rows.tolist(), [s] * len(rows)), len(rows), n)
+                     for rows, s in self._scaled)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -377,20 +384,27 @@ class BilinearPairing:
 
     @cached_property
     def tensor(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        return tuple(tuple(tuple(Fraction(c, self.den) for c in vec) for vec in row)
-                     for row in self.coords.tolist())
+        (du, dv), dt = self.source_dims, self.target_dim
+        vecs = rational_rows(self.coords.reshape(du * dv, dt).tolist(), [self.den] * (du * dv))
+        return tuple(vecs[r * dv:(r + 1) * dv] for r in range(du))
 
 
 def graded_pairing(g: GradedAlgebra, i: int, j: int) -> BilinearPairing:
-    """The pairing induced by the bracket on graded pieces i and j."""
+    """The pairing induced by the bracket on graded pieces i and j.
+
+    Raises ValueError, naming the degree, when the representatives of
+    piece i, j or i + j are not a basis of their term modulo the next.
+    """
     if i < 1 or j < 1:
         raise ValueError("graded degrees start at 1")
     a = g.algebra
     n = a.dim
     ui, us = g.scaled_piece(i)
     vi, vs = g.scaled_piece(j)
-    e = _target_rref(g, i + j)
-    du, dv, dt = ui.shape[0], vi.shape[0], e.ambient - n
+    _coset_coordinates(g, i)
+    _coset_coordinates(g, j)
+    inside, nxt, q, zinv, dz = _coset_coordinates(g, i + j)
+    du, dv, dt = ui.shape[0], vi.shape[0], q.size
 
     # Every bracket at once: w[r * dv + c] = cs * us * vs * [u_r, v_c],
     # contracting u (cached per i) into the scaled structure tensor, then v.
@@ -403,30 +417,40 @@ def graded_pairing(g: GradedAlgebra, i: int, j: int) -> BilinearPairing:
     w = ik.exact_matmul(x, vi.T, xmax)
     w = w.reshape(du, n, dv).transpose(0, 2, 1).reshape(du * dv, n)
 
-    # The residual of [w | 0] is [0 | -d * coordinates] when w lies in
-    # target + tail, and nonzero on the first n columns otherwise.
-    res = e.residuals(np.hstack([w, np.zeros((du * dv, dt), dtype=w.dtype)]))
-    if res[:, :n].any():
+    if inside.residuals(w).any():
         raise AssertionError("bracket left the expected filtration level")
-    coords = -res[:, n:].reshape(du, dv, dt)
-    return BilinearPairing(i, j, (du, dv), dt, coords, e.denominator * cs * us * vs)
+    coords = ik.exact_matmul(nxt.residuals(w)[:, q], zinv)
+    return BilinearPairing(i, j, (du, dv), dt, coords.reshape(du, dv, dt), dz * cs * us * vs)
 
 
-def _target_rref(g: GradedAlgebra, k: int) -> ik.ScaledRref:
-    """Row space of [s * target_r | s * e_r] and [tail_t | 0] for the
-    degree-k representatives target / s and the basis of N^{k+1}.  The
-    rows are independent on the first n columns.  Cached on g: every
-    pairing into degree k reduces against it."""
-    cached = g._targets.get(k)
+def _coset_coordinates(g: GradedAlgebra, k: int) -> tuple:
+    """(F, F', Q, s * V, dZ) for degree k, cached on g: F and F' are
+    terms k and k+1, Q the pivots of F that F' lacks, and V / dZ the
+    inverse of Z = F'.residuals(reps)[:, Q] for piece k's integer rows
+    reps over s.  A vector w of F equals sum_r c_r * reps_r / s modulo
+    F', and F'.residuals(w)[:, Q] = c @ Z / s, so c = that residual @
+    (s * V) / dZ.  Raises ValueError when reps are not in F or not a
+    basis modulo F'."""
+    cached = g._coordinates.get(k)
     if cached is None:
-        n = g.algebra.dim
-        target, s = g.scaled_piece(k)
+        reps, s = g.scaled_piece(k)
         rrefs = g.filtration.rrefs
-        tail = rrefs[k].nums if k < len(rrefs) else np.zeros((0, n), dtype=object)
-        dt = target.shape[0]
-        reps = np.vstack([target, tail])
-        cached = g._targets[k] = ik.rref_from_rows(
-            np.hstack([reps, s * np.eye(reps.shape[0], dt, dtype=object)]), n + dt)
+        n = g.algebra.dim
+        inside, nxt = (rrefs[d] if d < len(rrefs) else ik.ScaledRref(n) for d in (k - 1, k))
+        drop = set(nxt.pivots)
+        q = np.array([p for p in inside.pivots if p not in drop], dtype=np.intp)
+        if inside.residuals(reps).any():
+            raise ValueError(f"graded piece {k} does not lie in filtration term {k}")
+        basis_error = ValueError(f"graded piece {k} is not a basis modulo filtration term {k + 1}")
+        if reps.shape[0] != q.size:
+            raise basis_error
+        try:
+            v, dz = ik.scaled_inverse(nxt.residuals(reps)[:, q], 1)
+        except ik.PrimesExhausted:
+            raise
+        except ValueError:  # Z is singular
+            raise basis_error from None
+        cached = g._coordinates[k] = inside, nxt, q, ik.scale_rows(v, s), dz
     return cached
 
 

@@ -10,9 +10,14 @@ The Fraction loader: clean_constants, payload_constants and int_tensor
 read structure constants into Fractions and scale them term by term,
 the way lienil did before its loader and dict constructor built the
 scaled integer tensor directly.
+
+random_unimodular_lists: the seeded unimodular scramble on two d x d
+lists of Python ints, as lienil.exactlin.random_unimodular first ran;
+the numpy version must make the same draws and give the same rows.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -229,3 +234,35 @@ def int_tensor(dim: int, constants: dict) -> tuple[np.ndarray, int, int]:
             t[i, j, k], t[j, i, k] = x, -x
             biggest = max(biggest, abs(x))
     return t, scale, biggest
+
+
+def random_unimodular_lists(d: int, seed: int, entry_bound: int = 2**10) -> list[list[int]]:
+    """Identity, then 6d seeded swaps, negations and bounded shears, the
+    inverse kept alongside as lists and a shear skipped when an entry of
+    either would pass entry_bound."""
+    rng = random.Random(seed)
+    work = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    inv = [row[:] for row in work]
+    for _ in range(6 * d):
+        op = rng.randrange(3)
+        if op == 0 and d >= 2:
+            i, j = rng.sample(range(d), 2)
+            work[i], work[j] = work[j], work[i]
+            for row in inv:
+                row[i], row[j] = row[j], row[i]
+        elif op == 1:
+            i = rng.randrange(d)
+            work[i] = [-x for x in work[i]]
+            for row in inv:
+                row[i] = -row[i]
+        elif d >= 2:
+            i, j = rng.sample(range(d), 2)
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            candidate = [a + c * b for a, b in zip(work[i], work[j])]
+            inv_candidate = [row[j] - c * row[i] for row in inv]
+            if (max(abs(x) for x in candidate) <= entry_bound
+                    and max(abs(x) for x in inv_candidate) <= entry_bound):
+                work[i] = candidate
+                for row, x in zip(inv, inv_candidate):
+                    row[j] = x
+    return work

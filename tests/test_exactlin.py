@@ -279,6 +279,16 @@ class TestRandomUnimodular:
         m = Matrix.from_rows(random_unimodular(d, seed))
         assert all(x.denominator == 1 for row in inverse(m).entries for x in row)
 
+    def test_matches_the_list_version(self):
+        # Same draws, same rows: every scramble made before the numpy
+        # version keeps its matrix.  A small bound makes shears fail; a
+        # bound past 2^60 runs the rows on Python ints.
+        for d in range(1, 71):
+            for seed in range(5):
+                assert random_unimodular(d, seed) == oracle.random_unimodular_lists(d, seed), (d, seed)
+        for bound in (5, 2**70):
+            assert random_unimodular(40, 9, bound) == oracle.random_unimodular_lists(40, 9, bound)
+
     def test_determinant_small_cases_vs_oracle(self):
         for d in (2, 3, 4):
             for seed in range(6):

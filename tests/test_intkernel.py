@@ -153,6 +153,9 @@ def square_and_scale(draw):
 @given(square_and_scale())
 @example(([[1, 0], [0, P0]], 1))
 @example(([[P0, 1], [1, 0]], P0))
+@example(([[-6, 0, 0], [0, 4, 0], [0, 0, 2**70]], 4))  # diagonal: no reduction
+@example(([[0, 0], [0, 5]], 3))
+@example(([[-1]], P0))
 def test_scaled_inverse_matches_row_by_row(case):
     m, s = case
     n = len(m)
@@ -194,6 +197,92 @@ def test_running_out_of_primes_raises(monkeypatch):
     with pytest.raises(ValueError, match="residue primes"):
         e.insert_rows(as_array([[1, 0], [0, P0]], 2))
     assert e.dim == 0
+
+
+# ------------------------------------------------- compact rows near 2^62
+
+
+def assert_compact(a: np.ndarray):
+    """int64 when every entry is below 2^62, Python ints otherwise."""
+    big = max((abs(int(x)) for x in a.flat), default=0) >= 2**62
+    assert a.dtype == (object if big else np.int64), (a.dtype, big)
+
+
+straddling = st.one_of(
+    st.integers(-6, 6),
+    st.builds(lambda e, k, sign: sign * (2**e + k), st.sampled_from([61, 62, 70]),
+              st.integers(-3, 3), st.sampled_from([-1, 1])),
+)
+
+
+@st.composite
+def straddling_blocks(draw, cols):
+    """Rows c_i * (small combination of k base rows), entries and scalars
+    near 2^61, 2^62 and 2^70: reduced rows land on both sides of 2^62."""
+    r = draw(st.integers(0, 5))
+    k = draw(st.integers(0, min(r, cols)))
+    base = [[draw(straddling) for _ in range(cols)] for _ in range(k)]
+    out = []
+    for _ in range(r):
+        c, mix = draw(straddling), [draw(st.integers(-2, 2)) for _ in range(k)]
+        out.append([c * sum(m * row[j] for m, row in zip(mix, base)) for j in range(cols)])
+    return out
+
+
+@st.composite
+def straddling_spans(draw):
+    cols = draw(st.integers(1, 5))
+    return cols, draw(straddling_blocks(cols)), draw(straddling_blocks(cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(straddling_spans())
+@example((2, [[2**61 + 1, 2**61]], [[0, 2**62]]))
+@example((2, [[2**62, 2**62 - 1]], [[2**70, 0]]))
+def test_compact_rows_match_row_by_row_near_int64(case):
+    cols, old, new = case
+    e, o = ik.ScaledRref(cols), RowByRowRref(cols)
+    for rows in (old, new):
+        assert e.insert_rows(as_array(rows, cols)) == o.insert_rows(rows)
+        assert_same_state(e, o)
+        assert_compact(e.nums)
+        assert_compact(e._scaled()[1])
+    want = oracle_kernel_rref(old + new, cols)
+    got = ik.null_space(as_array(old + new, cols), cols)
+    assert got == want
+    assert_compact(got.nums)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(straddling, min_size=n, max_size=n),
+                                                    min_size=n, max_size=n)),
+       st.sampled_from([1, 2**61 + 1, 2**62]))
+def test_scaled_inverse_is_compact_near_int64(m, s):
+    n = len(m)
+    o = RowByRowRref(2 * n)
+    o.insert_rows([row + [s * (i == j) for j in range(n)] for i, row in enumerate(m)])
+    if o.pivots != list(range(n)):
+        return
+    d = math.lcm(*o.dens)
+    v, got_d = ik.scaled_inverse(as_array(m, n), s)
+    assert got_d == d
+    assert v.tolist() == [[x * (d // den) for x in num[n:]] for num, den in zip(o.nums, o.dens)]
+    assert_compact(v)
+
+
+@pytest.mark.parametrize("rows, f", [
+    ([[2**30, -1], [0, 1]], 2**31),  # bound 2^61: int64
+    ([[2**31, -1], [0, 1]], 2**31),  # bound and product 2^62: Python ints
+    ([[1, -1], [0, 2**61]], 3),
+    ([[1, -1], [0, 1]], 2**62),
+    ([[1, -1], [0, 2**40]], [[2**40], [1]]),  # bound 2^80, product below 2^41: int64
+    ([[1, -1], [0, 2**40]], [[1], [2**22]]),  # per-row factors, product 2^62
+])
+def test_scale_rows_promotes_by_its_bound(rows, f):
+    a = np.array(rows, dtype=np.int64)
+    got = ik.scale_rows(a, np.array(f, dtype=object))
+    assert got.tolist() == (a.astype(object) * np.array(f, dtype=object)).tolist()
+    assert_compact(got)
 
 
 # ------------------------------------------------------ float64 routes

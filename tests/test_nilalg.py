@@ -19,9 +19,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_linalg as oracle
+from pairing_oracle import augmented_pairing
 from lienil import _intkernel as ik
 from lienil import nilalg
 from lienil.chevalley import nilradical, verify_jacobi
+from lienil.claims import _perturb_pieces
 from lienil.exactlin import Matrix, Subspace, random_unimodular
 from lienil.fingerprint import identify
 from lienil.nilalg import (
@@ -436,6 +438,43 @@ def test_series_agrees_with_definition_on_arbitrary_tables(a):
 
 
 
+def _fraction_series(a: NilpotentAlgebra) -> list[Matrix]:
+    """The lower central series by its definition, reduced by the
+    Fraction oracle: N^{k+1} = rref of [row, e_j] over N^k's rows."""
+    eye = oracle.identity(a.dim).entries
+    terms = [oracle.identity(a.dim)]
+    while terms[-1].rows:
+        rows = [bracket(a, row, e) for row in terms[-1].entries for e in eye]
+        terms.append(oracle.rref(Matrix.from_rows(rows, cols=a.dim)))
+    return terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_tables())
+@example(NilpotentAlgebra(5, {(0, 1): ((2, 2**70), (3, 1)), (0, 2): ((4, 2**61 + 1),)}))
+@example(NilpotentAlgebra(5, {(0, 1): ((2, 2**61 + 3), (3, -1)), (0, 2): ((4, F(1, 2**62)),)}))
+@example(NilpotentAlgebra(4, {(0, 1): ((2, 2**62), (3, 2**62 - 1))}))
+def test_graded_pieces_are_compact_and_match_fraction_series(a):
+    # Constants up to 2^70: every term's rows and every piece are int64
+    # exactly when their entries are below 2^62.
+    try:
+        f = lower_central_series(a)
+    except NotNilpotentError:
+        assume(False)
+    terms = _fraction_series(a)
+    g = graded(a, f)
+    assert [t.basis for t in f.terms] == terms
+    for d, (cur, nxt) in enumerate(zip(terms, terms[1:]), start=1):
+        drop = set(oracle.pivots(Subspace(a.dim, nxt)))
+        want = [row for row, p in zip(cur.entries, oracle.pivots(Subspace(a.dim, cur)))
+                if p not in drop]
+        assert g.piece(d).entries == tuple(want), d
+    pieces = [g.scaled_piece(d)[0] for d in range(1, len(g.dims) + 1)]
+    for arr in [t.nums for t in f.rrefs] + pieces:
+        big = max((abs(int(x)) for x in arr.flat), default=0) >= 2**62
+        assert arr.dtype == (object if big else np.int64)
+
+
 @pytest.mark.parametrize("t", all_types(4), ids=str)
 @pytest.mark.parametrize("seed", [1, 2])
 def test_series_matches_definition_on_scrambled_types(t, seed):
@@ -673,6 +712,61 @@ def test_pairing_representative_independence_on_scrambled_tables(name):
     for i in range(1, cls + 1):
         for j in range(1, cls + 1 - i):
             assert graded_pairing(gp, i, j).tensor == graded_pairing(g, i, j).tensor, (i, j)
+
+
+def _with_piece(g: GradedAlgebra, k: int, rows) -> GradedAlgebra:
+    pieces = [g.scaled_piece(d) for d in range(1, len(g.dims) + 1)]
+    pieces[k - 1] = np.array(rows, dtype=object), pieces[k - 1][1]
+    return GradedAlgebra(g.algebra, g.filtration, tuple(pieces))
+
+
+def test_representatives_are_checked_per_degree():
+    # B3's graded dims are (3, 2, 2, 1, 1); piece 2 is rows 3 and 4 of
+    # the identity, so [gr^1, gr^1] lands in degree 2.
+    g = graded(nilradical(build_root_system(SimpleType.parse("B3"))))
+    gr1, gr2 = g.scaled_piece(1)[0], g.scaled_piece(2)[0]
+    cases = [
+        (2, [gr2[0], gr2[0]], "graded piece 2 is not a basis modulo filtration term 3"),
+        (2, [gr2[0], gr2[1], gr2[0]], "graded piece 2 is not a basis modulo filtration term 3"),
+        (2, [gr2[0], gr2[1] + gr1[0]], "graded piece 2 does not lie in filtration term 2"),
+        (1, [gr1[0], gr1[1]], "graded piece 1 is not a basis modulo filtration term 2"),
+    ]
+    for k, rows, message in cases:
+        with pytest.raises(ValueError, match=message):
+            graded_pairing(_with_piece(g, k, rows), 1, 1)
+
+
+def _mixed(g: GradedAlgebra, seed: int) -> GradedAlgebra:
+    """Each piece's rows mixed by a unimodular matrix: the same cosets
+    in another basis of each, so the coset coordinates' Z is not
+    diagonal."""
+    pieces = []
+    for d in range(1, len(g.dims) + 1):
+        rows, s = g.scaled_piece(d)
+        u = np.array(random_unimodular(rows.shape[0], seed + d), dtype=object)
+        pieces.append((u @ rows, s))
+    return GradedAlgebra(g.algebra, g.filtration, tuple(pieces))
+
+
+@pytest.mark.parametrize("t", all_types(6), ids=str)
+def test_pairing_matches_the_augmented_reduction(t):
+    # Canonical, scrambled, perturbed and mixed representatives; every
+    # pairing into degrees up to class + 2, past the zero term.
+    a = nilradical(build_root_system(t))
+    canonical = graded(a)
+    degrees = range(1, len(canonical.dims) + 1)
+    scrambled = [graded(change_basis(a, random_unimodular(a.dim, seed))) for seed in (1, 2)]
+    variants = [canonical, *scrambled,
+                _perturb_pieces(canonical, degrees, random.Random(1)),
+                _mixed(_perturb_pieces(scrambled[1], degrees, random.Random(2)), 3)]
+    cls = canonical.filtration.nilpotency_class
+    for v, g in enumerate(variants):
+        for i in range(1, cls + 2):
+            for j in range(1, cls + 3 - i):
+                p, want = graded_pairing(g, i, j), augmented_pairing(g, i, j)
+                assert p.tensor == want.tensor, (v, i, j)
+                assert right_kernel(p) == right_kernel(want), (v, i, j)
+                assert left_kernel(p) == left_kernel(want), (v, i, j)
 
 
 # -------------------------------------------------------------- change_basis
