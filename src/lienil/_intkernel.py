@@ -18,10 +18,20 @@ piece's coset coordinates when they are not diagonal) reduces [m | sI].
 Graded pairings themselves reduce nothing: they read coordinates off
 the series' canonical rows.  A reduction runs modulo primes from
 PRIMES, with CRT and rational reconstruction under an exact certificate
-(_certified_rref).  Structure constants arrive as nilalg's integer
-tensor, files included; Fractions appear only where scaled_int reads
-rational matrices and where exactlin.rational_rows builds the rational
-views.
+(_certified_rref).
+
+Under its base prime a reduction makes at most two residue
+eliminations (_echelon_mod): the first `cols` rows, then, if rows
+remain and the rank is below `cols`, one fixed integer sketch of the
+rest (_sketch).  The base rows are input rows plus exact integer
+combinations of them, and every candidate passes an exact residual
+certificate (or the series certificate), so an unlucky sketch, like an
+unlucky prime, only costs a retry with the next prime and its own
+sketch, or the definitional series.
+
+Structure constants arrive as nilalg's integer tensor, files included;
+Fractions appear only where scaled_int reads rational matrices and
+where exactlin.rational_rows builds the rational views.
 """
 
 from __future__ import annotations
@@ -199,7 +209,8 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def _eliminate(x: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """Gauss-Jordan elimination of int64 residues x mod p in place, one numpy
-    step per column: (pivots, row permutation); reduced rows in x[:rank],
+    step per column that is nonzero on entry (row operations keep a zero
+    column zero): (pivots, row permutation); reduced rows in x[:rank],
     every entry of x reduced mod p on return.
 
     Reduction is lazy: a step reduces only the column f it searches and
@@ -215,7 +226,7 @@ def _eliminate(x: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     piv: list[int] = []
     prow: list[int] = []
     free = np.ones(rows, dtype=np.int64)
-    for c in range(cols):
+    for c in np.flatnonzero(x.any(axis=0)).tolist():
         if len(piv) == rows:
             break
         f = x[:, c] % p
@@ -234,30 +245,54 @@ def _eliminate(x: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     return piv, order
 
 
-def _echelon_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Reduced echelon form of int64 residues a mod p: (pivots, indices of
-    rows of a spanning it, reduced rows).  `cols` rows are eliminated at a
-    time; one residue product reduces the rest and drops those that vanish.
-    At rank `cols` every remaining row is spanned, so none is read."""
+# Sketch rows beyond the rank the first block leaves to find.
+_SKETCH_EXTRA = 4
+# Odd 64-bit multipliers: for row, column and prime, then the mixing round.
+_SPREAD = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xBF58476D1CE4E5B9)
+
+
+def _sketch(k: int, m: int, p: int) -> np.ndarray:
+    """A fixed k x m int64 matrix with entries in [-16, 15]: the top five
+    bits of a 64-bit hash (one xorshift-multiply round) of row, column
+    and the prime p.  No state and no generator: the same call gives the
+    same matrix, and each prime its own."""
+    u64 = np.uint64
+    h = (np.arange(k, dtype=u64)[:, None] * u64(_SPREAD[0]) ^ np.arange(m, dtype=u64) * u64(_SPREAD[1])
+         ^ u64(p * _SPREAD[2] % 2**64))
+    h ^= h >> u64(32)
+    h *= u64(_SPREAD[3])
+    return (h >> u64(59)).astype(np.int64) - 16
+
+
+def _echelon_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray | None]:
+    """Reduced echelon form of int64 residues a mod p, in at most two
+    eliminations: (pivots, reduced rows, sel, mix).  Its span mod p is
+    that of the rows a[sel] plus, when mix is given, the combinations
+    mix @ a[cols:].
+
+    The first elimination takes the first `cols` rows, and sel are those
+    that carry its pivots.  At rank `cols` no other row is read.  Below
+    it, a fixed sketch (_sketch) of cols - rank + 4 combinations of the
+    remaining rows is reduced against the first block and eliminated;
+    the combinations that carry new pivots form mix.  The rank mod p
+    falls short of the rows' only when p or the sketch is unlucky, which
+    the caller's exact certificate catches.
+    """
     cols = a.shape[1]
-    piv, sel, red = [], np.zeros(0, dtype=np.intp), np.zeros((0, cols), dtype=np.int64)
-    idx = np.arange(a.shape[0])
-    while idx.size and len(piv) < cols:
-        x = a[idx]
-        if piv:
-            x = (x - _mod_matmul(x[:, piv], red, p)) % p
-        nonzero = x.any(axis=1)
-        idx, x = idx[nonzero], x[nonzero][:cols]
-        if not idx.size:
-            break
-        bpiv, order = _eliminate(x, p)
-        bred = x[:len(bpiv)]
-        if piv:
-            red = (red - _mod_matmul(red[:, bpiv], bred, p)) % p
-        piv, sel, red = piv + bpiv, np.append(sel, idx[order[:len(bpiv)]]), np.vstack([red, bred])
-        idx = idx[len(x):]
+    x = a[:cols].copy()
+    piv, order = _eliminate(x, p)
+    sel, red, mix = order[:len(piv)], x[:len(piv)], None
+    if a.shape[0] > cols and len(piv) < cols:
+        s = _sketch(cols - len(piv) + _SKETCH_EXTRA, a.shape[0] - cols, p)
+        z = _mod_matmul(s % p, a[cols:], p)
+        z = (z - _mod_matmul(z[:, piv], red, p)) % p
+        if z.any():  # a remaining row is not spanned
+            zpiv, zorder = _eliminate(z, p)
+            zred = z[:len(zpiv)]
+            red = (red - _mod_matmul(red[:, zpiv], zred, p)) % p
+            piv, red, mix = piv + zpiv, np.vstack([red, zred]), s[zorder[:len(zpiv)]]
     at = np.argsort(piv)
-    return [piv[i] for i in at], sel[at], red[at]
+    return [piv[i] for i in at], red[at], sel, mix
 
 
 def _reconstruct(res: np.ndarray, m: int, piv: list[int], ambient: int) -> "ScaledRref | None":
@@ -298,22 +333,27 @@ def _reconstruct(res: np.ndarray, m: int, piv: list[int], ambient: int) -> "Scal
 
 def _certified_rref(rows: np.ndarray, ambient: int, every_row: bool = True) -> "ScaledRref":
     """The canonical reduced echelon basis of the span of nonzero integer
-    rows.  A base prime gives their rank r mod p and r rows carrying it,
-    independent over Q too; the next primes reduce only those.  A
-    candidate, r rows in reduced echelon form, is adopted only if every
-    input row (every_row) or every one of the r base rows (not every_row)
-    has zero residual against it by an exact product.  With every_row, as
-    r <= rank over Q, the spans agree.  Otherwise the candidate is the
-    exact span of the base rows, which an unlucky base prime leaves short
-    of the whole row span.  r = ambient proves the whole space, with no
-    reconstruction."""
+    rows.  A base prime gives, in at most two eliminations (_echelon_mod),
+    their rank r mod p and r base rows carrying it: input rows and exact
+    integer combinations of them, independent over Q too.  The next
+    primes reduce only those.  A candidate, r rows in reduced echelon
+    form, is adopted only if every input row (every_row) or every base
+    row (not every_row) has zero residual against it by an exact
+    product.  With every_row, as r <= rank over Q, the spans agree.
+    Otherwise the candidate is the exact span of the base rows, which an
+    unlucky base prime or sketch leaves short of the whole row span.  A
+    candidate that holds the base rows but not every input row shows
+    such a short base, and the next prime starts again with its own
+    sketch.  r = ambient proves the whole space, with no reconstruction."""
     base = None
     for p in PRIMES:
         if base is None:
-            piv, sel, acc = _echelon_mod(_residues(rows, p), p)
+            piv, acc, sel, mix = _echelon_mod(_residues(rows, p), p)
             if len(piv) == ambient:
                 return ScaledRref.full(ambient)
             base, m = rows[sel], p
+            if mix is not None:  # sketch entries are at most 16 in absolute value
+                base = np.vstack([base, exact_matmul(mix, rows[ambient:], 16)])
         else:
             x = _residues(base, p)
             ppiv, _ = _eliminate(x, p)
@@ -327,11 +367,10 @@ def _certified_rref(rows: np.ndarray, ambient: int, every_row: bool = True) -> "
                 continue
         cand = _reconstruct(acc, m, piv, ambient)
         if cand is not None:
-            bad = cand.residuals(rows if every_row else base).any(axis=1)
-            if not bad.any():
+            if not cand.residuals(rows if every_row else base).any():
                 return cand
-            if every_row and not bad[sel].any():
-                base = None  # r fell short of the rank: the base prime was unlucky
+            if every_row and not cand.residuals(base).any():
+                base = None  # r fell short of the rank: the base prime or sketch was unlucky
     raise PrimesExhausted(f"row reduction needs more than the {len(PRIMES)} residue primes")
 
 
@@ -446,28 +485,35 @@ class ScaledRref:
         return exactlin.Subspace(self.ambient, exactlin.Matrix(rows, len(rows), self.ambient))
 
 
-def rref_from_rows(rows: np.ndarray, ambient: int) -> ScaledRref:
-    e = ScaledRref(ambient)
-    e.insert_rows(rows)
-    return e
+def rref_from_rows(rows: np.ndarray, ambient: int, every_row: bool = True) -> ScaledRref:
+    """The canonical basis of the span of the integer rows, by one
+    certified reduction (_certified_rref) of the nonzero ones."""
+    rows = rows[rows.any(axis=1)]
+    return _certified_rref(rows, ambient, every_row) if rows.shape[0] else ScaledRref(ambient)
 
 
 def rref_of_base_rows(rows: np.ndarray, ambient: int) -> ScaledRref:
-    """The canonical basis of the span of the rows that are independent
-    modulo the base prime, checked against those rows only: the whole row
-    span unless that prime is unlucky, a subspace of it always."""
-    rows = rows[rows.any(axis=1)]
-    return _certified_rref(rows, ambient, every_row=False) if rows.shape[0] else ScaledRref(ambient)
+    """The canonical basis of the span of the base rows that the base
+    prime picks from the rows, checked against those base rows only: the
+    whole row span unless that prime or its sketch is unlucky, a subspace
+    of it always."""
+    return rref_from_rows(rows, ambient, every_row=False)
 
 
 def null_space(m: np.ndarray, cols: int) -> ScaledRref:
     """{v : m @ v = 0} in canonical form, from one certified reduction of
-    m with its columns reversed: read in normal column order, its row r
-    is 1 at its pivot c_r, 0 at the other pivots and after c_r.  Free
-    column f gives the vector that is 1 at f, 0 at the other free columns
-    and -row_r[f] at c_r (zero unless c_r > f), so it leads at f and is 0
-    at the others' leading columns: the reduced echelon basis already."""
-    piv, rnum, d, rmax = rref_from_rows(m[:, ::-1], cols)._scaled()
+    m with its columns reversed (rref_from_rows, so at most two residue
+    eliminations under the base prime).  Full rank there proves the zero
+    kernel, with no reconstruction and nothing to assemble.  Otherwise,
+    read in normal column order, row r of the reduction is 1 at its
+    pivot c_r, 0 at the other pivots and after c_r.  Free column f gives
+    the vector that is 1 at f, 0 at the other free columns and -row_r[f]
+    at c_r (zero unless c_r > f), so it leads at f and is 0 at the
+    others' leading columns: the reduced echelon basis already."""
+    r = rref_from_rows(m[:, ::-1], cols)
+    if r.dim == cols:
+        return ScaledRref(cols)
+    piv, rnum, d, rmax = r._scaled()
     piv, rnum = cols - 1 - piv, rnum[:, ::-1]
     is_free = np.ones(cols, dtype=bool)
     is_free[piv] = False

@@ -319,6 +319,8 @@ class GradedAlgebra:
     So the representatives are checked once per degree, and the square
     matrix Z of their residuals at Q, diagonal for graded()'s own
     pieces, is inverted once; no degree needs a row reduction of its own.
+    The product that reads the coordinates also checks that a bracket lies
+    in its term.
     """
 
     def __init__(self, algebra: NilpotentAlgebra, filtration: Filtration,
@@ -403,7 +405,7 @@ def graded_pairing(g: GradedAlgebra, i: int, j: int) -> BilinearPairing:
     vi, vs = g.scaled_piece(j)
     _coset_coordinates(g, i)
     _coset_coordinates(g, j)
-    inside, nxt, q, zinv, dz = _coset_coordinates(g, i + j)
+    nxt, q, free, zm, zmax, dz, sdz = _coset_coordinates(g, i + j)
     du, dv, dt = ui.shape[0], vi.shape[0], q.size
 
     # Every bracket at once: w[r * dv + c] = cs * us * vs * [u_r, v_c],
@@ -417,20 +419,31 @@ def graded_pairing(g: GradedAlgebra, i: int, j: int) -> BilinearPairing:
     w = ik.exact_matmul(x, vi.T, xmax)
     w = w.reshape(du, n, dv).transpose(0, 2, 1).reshape(du * dv, n)
 
-    if inside.residuals(w).any():
+    # One product gives the coordinates and the bracket check: w lies in
+    # term i + j iff s * dZ * r = coords @ R at the columns `free`
+    # (_coset_coordinates).
+    r = nxt.residuals(w)
+    rmax = ik.max_abs(r)
+    prod = ik.exact_matmul(r[:, q], zm, rmax, zmax)
+    coords = prod[:, :dt]
+    if not np.array_equal(ik.scale_rows(r[:, free], sdz, rmax), prod[:, dt:]):
         raise AssertionError("bracket left the expected filtration level")
-    coords = ik.exact_matmul(nxt.residuals(w)[:, q], zinv)
     return BilinearPairing(i, j, (du, dv), dt, coords.reshape(du, dv, dt), dz * cs * us * vs)
 
 
 def _coset_coordinates(g: GradedAlgebra, k: int) -> tuple:
-    """(F, F', Q, s * V, dZ) for degree k, cached on g: F and F' are
-    terms k and k+1, Q the pivots of F that F' lacks, and V / dZ the
-    inverse of Z = F'.residuals(reps)[:, Q] for piece k's integer rows
-    reps over s.  A vector w of F equals sum_r c_r * reps_r / s modulo
-    F', and F'.residuals(w)[:, Q] = c @ Z / s, so c = that residual @
-    (s * V) / dZ.  Raises ValueError when reps are not in F or not a
-    basis modulo F'."""
+    """(F', Q, C, [s * V | s * V @ R[:, C]], its max entry, dZ, s * dZ)
+    for degree k, cached on g.  F and F' are terms k and k+1, Q the
+    pivots of F that F' lacks, C the columns that are no pivot of F,
+    R = F'.residuals(reps) for piece k's integer rows reps over s, and
+    V / dZ the inverse of Z = R[:, Q].  A vector w of F equals
+    sum_r c_r * reps_r / s modulo F', and r = F'.residuals(w) = c @ R / s,
+    so c = r[:, Q] @ (s * V) / dZ.  As Z is invertible, any w lies in F
+    exactly when s * dZ * r = coords @ R for coords = r[:, Q] @ (s * V).
+    Both sides vanish at the pivots of F' and agree at Q, so only the
+    columns C need comparing, and one product by the cached matrix,
+    of inner dimension dim gr^k, gives coords and those columns.
+    Raises ValueError when reps are not in F or not a basis modulo F'."""
     cached = g._coordinates.get(k)
     if cached is None:
         reps, s = g.scaled_piece(k)
@@ -444,13 +457,20 @@ def _coset_coordinates(g: GradedAlgebra, k: int) -> tuple:
         basis_error = ValueError(f"graded piece {k} is not a basis modulo filtration term {k + 1}")
         if reps.shape[0] != q.size:
             raise basis_error
+        rres = nxt.residuals(reps)
         try:
-            v, dz = ik.scaled_inverse(nxt.residuals(reps)[:, q], 1)
+            v, dz = ik.scaled_inverse(rres[:, q], 1)
         except ik.PrimesExhausted:
             raise
         except ValueError:  # Z is singular
             raise basis_error from None
-        cached = g._coordinates[k] = inside, nxt, q, ik.scale_rows(v, s), dz
+        free = np.ones(n, dtype=bool)
+        free[inside.pivots] = False
+        free = np.flatnonzero(free)
+        sv = ik.scale_rows(v, s)
+        zm = np.hstack([sv, ik.exact_matmul(sv, rres[:, free])])
+        zmax = ik.max_abs(zm)
+        cached = g._coordinates[k] = nxt, q, free, ik.compact(zm, zmax), zmax, dz, s * dz
     return cached
 
 

@@ -768,3 +768,20 @@ def test_module_invocation_matches_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 1
+
+
+def test_the_cli_leaves_numpy_random_and_ma_unloaded():
+    # Importing numpy.random and making a generator costs about 15 ms and
+    # 5 MiB of peak memory, and numpy.ma (which np.setdiff1d imports)
+    # about 2 MiB; nothing on lienil's paths needs either.  The import
+    # alone, then a C4 identification with its graded pairings, in a
+    # fresh interpreter.
+    code = ("import contextlib, io, sys\n"
+            "import lienil.cli\n"
+            "print('numpy.random' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    lienil.cli.main(['invariants', 'C', '4'])\n"
+            "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["False", "[]"]

@@ -19,7 +19,11 @@ from hypothesis import strategies as st
 import fraction_linalg
 from fraction_linalg import RowByRowRref
 from lienil import _intkernel as ik
-from lienil.exactlin import Matrix
+from lienil import nilalg
+from lienil.chevalley import nilradical
+from lienil.exactlin import Matrix, random_unimodular
+from lienil.nilalg import change_basis, lower_central_series
+from lienil.rootsys import SimpleType, build_root_system
 
 P0, P1 = ik.PRIMES[0], ik.PRIMES[1]
 
@@ -43,9 +47,39 @@ def row_blocks(draw, cols):
 
 
 @st.composite
+def tall_blocks(draw, cols):
+    """3 to 5 times `cols` rows of rank at most k <= cols whose first
+    `cols` rows are combinations of k - 1 base rows only: the first
+    block is rank-deficient and later rows add to its span, so the
+    reduction's sketch of the rows after the first block runs."""
+    k = draw(st.integers(1, cols))
+    base = [[draw(entries) for _ in range(cols)] for _ in range(k)]
+    coef = st.integers(-3, 3)
+
+    def combination(m):
+        c = [draw(coef) for _ in range(m)]
+        return [sum(x * row[j] for x, row in zip(c, base)) for j in range(cols)]
+
+    r = cols * draw(st.integers(3, 5))
+    return [combination(k - 1) for _ in range(cols)] + [combination(k) for _ in range(r - cols)]
+
+
+def row_inputs(cols):
+    return st.one_of(row_blocks(cols), tall_blocks(cols))
+
+
+@st.composite
 def span_and_rows(draw):
     cols = draw(st.integers(1, 6))
-    return cols, draw(row_blocks(cols)), draw(row_blocks(cols))
+    return cols, draw(row_inputs(cols)), draw(row_inputs(cols))
+
+
+# Tall inputs: a rank-deficient first block, with the rest of the span in
+# later rows, all of them zero modulo PRIMES[0] in the second, and all
+# spanned by the first block in the third.
+TALL = [[1, 0, 0], [2, 0, 0], [3, 0, 0], [0, 1, 2], [1, 1, 2], [0, 0, 5], [4, 0, 0]]
+TALL_ZERO_MOD_P0 = [[1, 0], [2, 0], [0, P0], [0, 2 * P0], [P0, 3 * P0], [5, 0]]
+TALL_SPANNED = [[1, 2, 3], [2, 4, 6], [0, 0, 0], [3, 6, 9], [-1, -2, -3], [2**70, 2**71, 3 * 2**70]]
 
 
 def as_array(rows, cols):
@@ -65,6 +99,9 @@ def assert_same_state(e: ik.ScaledRref, o: RowByRowRref):
 @example((2, [], [[P0, 1]]))  # full rank mod PRIMES[0], but a later pivot
 @example((3, [[P0, 2 * P0, 0]], [[0, P0 * P1, P0]]))  # zero mod PRIMES[0]
 @example((3, [[1, 2, 3]], [[0, 0, 0], [2, 4, 6]]))  # nothing new
+@example((3, [], TALL))
+@example((2, [], TALL_ZERO_MOD_P0))
+@example((3, [[0, 0, 1]], TALL_SPANNED))
 def test_insert_rows_matches_row_by_row(case):
     cols, old, new = case
     e, o = ik.ScaledRref(cols), RowByRowRref(cols)
@@ -78,6 +115,8 @@ def test_insert_rows_matches_row_by_row(case):
 
 @settings(max_examples=100, deadline=None)
 @given(span_and_rows())
+@example((3, TALL, TALL_SPANNED))
+@example((2, TALL_ZERO_MOD_P0, []))
 def test_rref_from_rows_matches_row_by_row(case):
     cols, old, new = case
     rows = old + new
@@ -93,7 +132,7 @@ def test_rref_from_rows_matches_row_by_row(case):
 @st.composite
 def kernel_inputs(draw):
     cols = draw(st.integers(1, 6))
-    return cols, draw(row_blocks(cols))
+    return cols, draw(row_inputs(cols))
 
 
 def oracle_kernel_rref(rows, cols) -> ik.ScaledRref:
@@ -110,6 +149,10 @@ def oracle_kernel_rref(rows, cols) -> ik.ScaledRref:
 @example((3, [[P0, 1, 0]]))  # a later pivot mod PRIMES[0]
 @example((3, [[0, 0, 0], [0, 0, 0]]))
 @example((4, []))
+@example((3, TALL))
+@example((3, [row[::-1] for row in TALL]))
+@example((2, TALL_ZERO_MOD_P0))
+@example((3, TALL_SPANNED))
 def test_null_space_matches_fraction_kernel(case):
     cols, rows = case
     want = oracle_kernel_rref(rows, cols)
@@ -189,6 +232,45 @@ def test_unlucky_first_prime_is_rejected_and_the_next_recovers(monkeypatch):
     assert (e.pivots, e.dens) == ([0, 1], [1, 1])
     assert [list(num) for num in e.nums] == [[1, 0], [0, 1]]
     assert primes == [P0, P1]
+
+
+def test_unlucky_sketch_is_caught_by_the_certificate(monkeypatch):
+    # Under PRIMES[0] every sketch row is the first one, so the base rows
+    # span one dimension less than the rows after a rank-deficient first
+    # block whenever these add two or more.  The exact certificates catch
+    # that; the next prime's own sketch recovers the same span, and the
+    # series falls back to its definition.
+    a = change_basis(nilradical(build_root_system(SimpleType.parse("E6"))),
+                     random_unimodular(36, 1))
+    series = lower_central_series(a)
+    sketch, primes = ik._sketch, []
+
+    def unlucky(k, m, p):
+        primes.append(p)
+        s = sketch(k, m, p)
+        if p == P0:
+            s[1:] = s[0]
+        return s
+
+    monkeypatch.setattr(ik, "_sketch", unlucky)
+    rows = [[1, 0, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [3, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+            [0, 0, 0, 1], [1, 1, 1, 1]]
+    assert ik.rref_from_rows(as_array(rows, 4), 4) == ik.ScaledRref.full(4)
+    assert primes == [P0, P1]
+    ran = []
+    definitional = nilalg._definitional_series
+    monkeypatch.setattr(nilalg, "_definitional_series", lambda b: ran.append(b) or definitional(b))
+    assert lower_central_series(a) == series
+    assert ran == [a]
+
+
+def test_sketch_is_fixed_and_in_range():
+    s = ik._sketch(7, 300, P0)
+    assert s.dtype == np.int64 and s.shape == (7, 300)
+    assert s.min() == -16 and s.max() == 15
+    assert np.array_equal(s, ik._sketch(7, 300, P0))
+    assert not np.array_equal(s, ik._sketch(7, 300, P1))
+    assert np.linalg.matrix_rank(s.astype(np.float64)) == 7
 
 
 def test_running_out_of_primes_raises(monkeypatch):

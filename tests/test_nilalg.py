@@ -408,8 +408,23 @@ def test_series_matches_definition_on_nilpotent_tables(a):
 def wide_tables(draw):
     """Tables of dims 2-10 with a few nonzero constants per bracket, up to
     2^70, integer or rational; increasing ones are nilpotent, others need
-    not be, and neither need satisfy Jacobi."""
+    not be, and neither need satisfy Jacobi.  A third of the draws are
+    sparse and increasing: at most three brackets, each a small constant
+    and one of 2^65 to 2^70, so that series terms and graded pieces
+    reach Python ints."""
     dim = draw(st.integers(2, 10))
+    if draw(st.integers(0, 2)) == 0:
+        sign = st.sampled_from([-1, 1])
+        small = st.builds(lambda m, s: s * m, st.integers(1, 6), sign)
+        huge = st.builds(lambda m, s: s * m, st.integers(2**65, 2**70), sign)
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        constants = {}
+        for i, j in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True)):
+            ks = range(j + 1, dim)
+            if len(ks) >= 2:
+                k0, k1 = draw(st.lists(st.sampled_from(ks), min_size=2, max_size=2, unique=True))
+                constants[(i, j)] = ((k0, draw(small)), (k1, draw(huge)))
+        return NilpotentAlgebra(dim, constants)
     increasing = draw(st.booleans())
     bound = draw(st.sampled_from([3, 2**20, 2**70]))
     den = st.integers(1, bound) if draw(st.booleans()) else st.just(1)
@@ -767,6 +782,44 @@ def test_pairing_matches_the_augmented_reduction(t):
                 assert p.tensor == want.tensor, (v, i, j)
                 assert right_kernel(p) == right_kernel(want), (v, i, j)
                 assert left_kernel(p) == left_kernel(want), (v, i, j)
+
+
+# A nilpotent table without Jacobi: gr^2 = <e3, e4> and [e3, e4] = e5, which
+# spans N^3 but not N^4 = 0.
+LEAVING = NilpotentAlgebra(6, {(0, 1): ((3, 1),), (0, 2): ((4, 1),), (3, 4): ((5, 1),)})
+
+
+def test_bracket_leaving_its_level_raises():
+    g = graded(LEAVING)
+    assert g.dims == (3, 2, 1)
+    assert graded_pairing(g, 1, 1).tensor == augmented_pairing(g, 1, 1).tensor
+    for pairing in (graded_pairing, augmented_pairing):
+        with pytest.raises(AssertionError, match="bracket left the expected filtration level"):
+            pairing(g, 2, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_tables())
+@example(LEAVING)
+@example(NilpotentAlgebra(5, {(0, 1): ((2, 2**70), (3, 1)), (0, 2): ((4, 2**61 + 1),)}))
+def test_pairing_matches_the_augmented_reduction_on_arbitrary_tables(a):
+    # Tables without Jacobi, with terms in int64 and in Python ints: the
+    # pairing and its bracket check agree with the augmented reduction,
+    # which raises on the same brackets.
+    try:
+        g = graded(a)
+    except NotNilpotentError:
+        assume(False)
+    cls = len(g.dims)
+    for i in range(1, cls + 1):
+        for j in range(1, cls + 2 - i):
+            try:
+                want = augmented_pairing(g, i, j)
+            except AssertionError:
+                with pytest.raises(AssertionError, match="left the expected filtration level"):
+                    graded_pairing(g, i, j)
+                continue
+            assert graded_pairing(g, i, j).tensor == want.tensor, (i, j)
 
 
 # -------------------------------------------------------------- change_basis
