@@ -7,17 +7,18 @@ row-scaling helper, promotes by an a-priori bound before it multiplies.
 Bulk products run on float64 BLAS when an a-priori bound keeps every
 partial dot product below 2^53, on numpy int64 below 2^62, and
 otherwise on Python ints, so every route gives the same result.
-Residue products modulo a word-size prime run on float64 BLAS, exact
-under residue_matmul's bound.
+Residue products modulo a word-size prime (_mod_matmul) run on float64
+BLAS, exact under an a-priori bound.
 
-ScaledRref is the package's only row reduction, and its rows stay in
-compact dtype.  The lower central series reduces each term with it, the
-pairing kernels and exactlin's kernel are one null_space reduction
-each, and scaled_inverse (change_basis, exactlin's inverse, and a graded
-piece's coset coordinates when they are not diagonal) reduces [m | sI].
-Graded pairings themselves reduce nothing: they read coordinates off
-the series' canonical rows.  A reduction runs modulo primes from
-PRIMES, with CRT and rational reconstruction under an exact certificate
+ScaledRref is the package's only row-reduced form, and its rows stay in
+compact dtype.  rref_from_rows is the every-row reduction: the pairing
+kernels and exactlin's kernel are one null_space each, and
+scaled_inverse (change_basis, exactlin's inverse, and a graded piece's
+coset coordinates when they are not diagonal) reduces [m | sI].
+rref_of_base_rows, the base-row one, reduces each certified series
+term.  Graded pairings reduce nothing: they read coordinates off the
+series' canonical rows.  A reduction runs modulo primes from PRIMES,
+with CRT and rational reconstruction under an exact certificate
 (_certified_rref).
 
 Under its base prime a reduction makes at most two residue
@@ -86,27 +87,6 @@ def primes_exceeding(bound: int) -> tuple[int, ...]:
         prod *= PRIMES[k]
         k += 1
     return PRIMES[:k]
-
-
-def residue_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p for float64 matrices with entries in [0, p).
-
-    float64 BLAS is exact here: every partial dot product is an integer
-    x with 0 <= x <= inner * (p - 1)^2 < 2^53.  The product is reduced
-    before it is returned, so callers never sum unreduced products.  The
-    reduction x - floor(x / p) * p is exact: for such x the correctly
-    rounded quotient is off from x / p by less than 1 / p, which cannot
-    carry it across an integer.  (np.fmod gives the same values, but
-    its cost grows with the bit length of the quotient: about 30 times
-    slower on these products.)
-    """
-    assert a.shape[1] * (p - 1) ** 2 < _FLOAT64_EXACT, "residue product could round"
-    out = a @ b
-    quot = out / p
-    np.floor(quot, out=quot)
-    quot *= p
-    out -= quot
-    return out
 
 
 def scaled_int(m: exactlin.Matrix) -> tuple[np.ndarray, int]:
@@ -202,9 +182,20 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p for int64 residues in [0, p).  Below 2^53 float64
+    BLAS is exact: every partial dot product is an integer x with 0 <= x
+    <= inner * (p - 1)^2, and in x - floor(x / p) * p the rounded
+    quotient is off from x / p by less than 1 / p, which cannot carry it
+    across an integer.  (np.fmod gives the same values, about 30 times
+    slower: its cost grows with the bit length of the quotient.)"""
     if a.shape[1] * (p - 1) ** 2 >= _FLOAT64_EXACT:
         return a @ b % p  # int64 holds inner * (p - 1)^2 for inner below 2^20
-    return residue_matmul(a.astype(np.float64), b.astype(np.float64), p).astype(np.int64)
+    out = a.astype(np.float64) @ b.astype(np.float64)
+    quot = out / p
+    np.floor(quot, out=quot)
+    quot *= p
+    out -= quot
+    return out.astype(np.int64)
 
 
 def _eliminate(x: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
@@ -331,20 +322,24 @@ def _reconstruct(res: np.ndarray, m: int, piv: list[int], ambient: int) -> "Scal
     return e
 
 
-def _certified_rref(rows: np.ndarray, ambient: int, every_row: bool = True) -> "ScaledRref":
-    """The canonical reduced echelon basis of the span of nonzero integer
-    rows.  A base prime gives, in at most two eliminations (_echelon_mod),
-    their rank r mod p and r base rows carrying it: input rows and exact
-    integer combinations of them, independent over Q too.  The next
-    primes reduce only those.  A candidate, r rows in reduced echelon
-    form, is adopted only if every input row (every_row) or every base
-    row (not every_row) has zero residual against it by an exact
-    product.  With every_row, as r <= rank over Q, the spans agree.
-    Otherwise the candidate is the exact span of the base rows, which an
-    unlucky base prime or sketch leaves short of the whole row span.  A
-    candidate that holds the base rows but not every input row shows
-    such a short base, and the next prime starts again with its own
-    sketch.  r = ambient proves the whole space, with no reconstruction."""
+def _certified_rref(rows: np.ndarray, ambient: int, every_row: bool) -> "ScaledRref":
+    """The canonical reduced echelon basis of the span of the integer
+    rows, zero rows dropped.  A base prime gives, in at most two
+    eliminations (_echelon_mod), their rank r mod p and r base rows
+    carrying it: input rows and exact integer combinations of them,
+    independent over Q too.  The next primes reduce only those.  A
+    candidate, r rows in reduced echelon form, is adopted only if every
+    input row (every_row) or every base row (not every_row) has zero
+    residual against it by an exact product.  With every_row, as r <=
+    rank over Q, the spans agree.  Otherwise the candidate is the exact
+    span of the base rows, which an unlucky base prime or sketch leaves
+    short of the whole row span.  A candidate that holds the base rows
+    but not every input row shows such a short base, and the next prime
+    starts again with its own sketch.  r = ambient proves the whole
+    space, with no reconstruction."""
+    rows = rows[rows.any(axis=1)]
+    if not rows.shape[0]:
+        return ScaledRref(ambient)
     base = None
     for p in PRIMES:
         if base is None:
@@ -380,13 +375,13 @@ class ScaledRref:
     nums is one integer array with a row per pivot, in compact dtype
     (int64 when every entry is below 2^62, Python ints otherwise); row
     r represents nums[r] / dens[r]: it reads 1 at its own pivot column,
-    0 at every other pivot column, and gcd(content, den) = 1.  Every
-    method that writes nums keeps it compact, promoting by an a-priori
-    bound (scale_rows, _compacted), so readers multiply it as it is.
-    Because stored rows are fully reduced against each other, reducing
-    a vector is a single linear combination rather than an elimination
-    cascade, so entry sizes track the canonical basis itself and bulk
-    membership tests batch into one integer matrix product.
+    0 at every other pivot column, and gcd(content, den) = 1.  nums
+    comes only from _reconstruct, full or null_space, each in compact
+    dtype, so readers multiply it as it is.  Because stored rows are fully
+    reduced against each other, reducing a vector is a single linear
+    combination rather than an elimination cascade, so entry sizes track
+    the canonical basis itself and bulk membership tests batch into one
+    integer matrix product.
     """
 
     def __init__(self, ambient: int):
@@ -421,7 +416,7 @@ class ScaledRref:
             self._cache = (np.array(self.pivots, dtype=np.intp), rnum, d, max_abs(rnum))
         return self._cache
 
-    def residuals(self, mat: np.ndarray, mat_max: int | None = None) -> np.ndarray:
+    def residuals(self, mat: np.ndarray) -> np.ndarray:
         """d * (mat - projection of mat onto the span), row by row.
 
         A row of mat lies in the span iff its residual row is zero; the
@@ -433,8 +428,7 @@ class ScaledRref:
         if mat.shape[0] == 0 or not self.pivots:
             return mat
         piv, rnum, d, rmax = self._scaled()
-        if mat_max is None:
-            mat_max = max_abs(mat)
+        mat_max = max_abs(mat)
         k = len(self.pivots)
         if mat_max and (d + k * rmax) * mat_max < _INT64_SAFE:
             m64 = _as_int64(mat)
@@ -448,29 +442,9 @@ class ScaledRref:
         return self.insert_rows(np.asarray(v, dtype=object).reshape(1, -1)) > 0
 
     def insert_rows(self, mat: np.ndarray) -> int:
-        """Add every row of mat; returns the dimension growth.  Residual
-        rows vanish at the stored pivots, so their canonical basis has new
-        pivots only, cleared from the stored rows by one exact product."""
-        res = self.residuals(mat)
-        res = res[res.any(axis=1)]
-        if not res.shape[0]:
-            return 0
-        new = _certified_rref(res, self.ambient)
-        if self.pivots:
-            _, snum, sd, smax = new._scaled()
-            nmax = max_abs(self.nums)
-            # Each term is a compact product below 2^62 in int64, so the
-            # int64 difference is exact too; gcd division only shrinks it.
-            old = (scale_rows(self.nums, sd, nmax)
-                   - exact_matmul(self.nums[:, new.pivots], snum, nmax, smax))
-            g = np.gcd.reduce(old, axis=1)  # includes the pivot entry, den * sd
-            pivots = self.pivots + new.pivots
-            dens = (np.array(self.dens, dtype=object) * sd // g).tolist() + new.dens
-            at = np.argsort(pivots)
-            new.pivots, new.dens = [pivots[i] for i in at], [dens[i] for i in at]
-            old = _compacted(old // g[:, None], nmax * (sd + len(new.pivots) * smax))
-            new.nums = np.vstack([old, new.nums])[at]  # both compact, so the stack is
-            new._cache = None
+        """Add every row of mat; returns the dimension growth.  The form
+        is unique, so the stored rows stacked on mat reduce to it anew."""
+        new = rref_from_rows(np.vstack([self.nums, mat]), self.ambient)
         added = new.dim - self.dim
         self.pivots, self.nums, self.dens, self._cache = new.pivots, new.nums, new.dens, new._cache
         return added
@@ -485,11 +459,10 @@ class ScaledRref:
         return exactlin.Subspace(self.ambient, exactlin.Matrix(rows, len(rows), self.ambient))
 
 
-def rref_from_rows(rows: np.ndarray, ambient: int, every_row: bool = True) -> ScaledRref:
+def rref_from_rows(rows: np.ndarray, ambient: int) -> ScaledRref:
     """The canonical basis of the span of the integer rows, by one
-    certified reduction (_certified_rref) of the nonzero ones."""
-    rows = rows[rows.any(axis=1)]
-    return _certified_rref(rows, ambient, every_row) if rows.shape[0] else ScaledRref(ambient)
+    certified reduction (_certified_rref) checked against every row."""
+    return _certified_rref(rows, ambient, every_row=True)
 
 
 def rref_of_base_rows(rows: np.ndarray, ambient: int) -> ScaledRref:
@@ -497,7 +470,7 @@ def rref_of_base_rows(rows: np.ndarray, ambient: int) -> ScaledRref:
     prime picks from the rows, checked against those base rows only: the
     whole row span unless that prime or its sketch is unlucky, a subspace
     of it always."""
-    return rref_from_rows(rows, ambient, every_row=False)
+    return _certified_rref(rows, ambient, every_row=False)
 
 
 def null_space(m: np.ndarray, cols: int) -> ScaledRref:

@@ -156,6 +156,8 @@ def load_algebra(path: str) -> NilpotentAlgebra:
         raise AlgebraFileError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise AlgebraFileError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise AlgebraFileError(f"{path} nests JSON too deeply to read") from None
     return algebra_from_payload(payload)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import _intkernel as ik
 
 Vector = tuple[Fraction, ...]
+_ENTRY_BOUND = 2**10  # random_unimodular's bound on every entry of a scramble and its inverse
 
 
 def _frac(x) -> Fraction:
@@ -41,21 +42,6 @@ class Matrix:
     entries: tuple[Vector, ...]
     rows: int
     cols: int
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
-        data = tuple(vector(r) for r in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise ValueError("rows have inconsistent lengths")
-        else:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            width = cols
-        if cols is not None and data and width != cols:
-            raise ValueError("explicit column count does not match rows")
-        return Matrix(data, len(data), width)
 
 
 @dataclass(frozen=True)
@@ -113,24 +99,24 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix(rational_rows(v.tolist(), [d] * m.rows), m.rows, m.cols)
 
 
-def random_unimodular(d: int, seed: int, entry_bound: int = 2**10) -> list[list[int]]:
+def random_unimodular(d: int, seed: int) -> list[list[int]]:
     """Deterministic pseudorandom integer matrix with determinant +-1, as
     integer rows (change_basis takes them as they are).
 
     Built from the identity by a bounded number of elementary row
     operations (swaps, negations, integer shears).  The inverse is
     maintained alongside, and a shear is skipped when it would push an
-    entry of either matrix past ``entry_bound``: conjugating by the
+    entry of either matrix past _ENTRY_BOUND: conjugating by the
     result then keeps all downstream exact arithmetic on small
-    integers.  Both matrices are numpy rows, the inverse transposed so
-    that its columns are rows too, in the dtype _intkernel.compact gives
-    for the largest entry a shear can form, 4 * entry_bound.  A swap
-    only exchanges where two logical rows are stored.
+    integers.  Both matrices are int64 numpy rows, the inverse
+    transposed so that its columns are rows too; a shear forms entries
+    of at most 4 * _ENTRY_BOUND.  A swap only exchanges where two
+    logical rows are stored.
     """
     if d <= 0:
         raise ValueError("dimension must be positive")
     rng = random.Random(seed)
-    work = ik.compact(np.eye(d, dtype=np.int64), 4 * entry_bound)
+    work = np.eye(d, dtype=np.int64)
     inv_t = work.copy()  # inv_t[r] is column r of the inverse
     at = list(range(d))  # logical row r of both is stored at row at[r]
     steps = 6 * d
@@ -148,8 +134,8 @@ def random_unimodular(d: int, seed: int, entry_bound: int = 2**10) -> list[list[
             c = rng.choice([-3, -2, -1, 1, 2, 3])
             candidate = work[i] + c * work[j]
             inv_candidate = inv_t[j] - c * inv_t[i]
-            if (np.abs(candidate).max() <= entry_bound
-                    and np.abs(inv_candidate).max() <= entry_bound):
+            if (np.abs(candidate).max() <= _ENTRY_BOUND
+                    and np.abs(inv_candidate).max() <= _ENTRY_BOUND):
                 work[i] = candidate
                 inv_t[j] = inv_candidate
     return work[at].tolist()

@@ -11,6 +11,9 @@ read structure constants into Fractions and scale them term by term,
 the way lienil did before its loader and dict constructor built the
 scaled integer tensor directly.
 
+from_rows: a rational Matrix from rows of ints or Fractions, with its
+shape checked; lienil itself builds Matrix values only from its own rows.
+
 random_unimodular_lists: the seeded unimodular scramble on two d x d
 lists of Python ints, as lienil.exactlin.random_unimodular first ran;
 the numpy version must make the same draws and give the same rows.
@@ -22,19 +25,37 @@ from fractions import Fraction
 
 import numpy as np
 
-from lienil.exactlin import Matrix, Subspace
+from lienil.exactlin import Matrix, Subspace, vector
+
+
+def from_rows(rows, cols: int | None = None) -> Matrix:
+    """The rational matrix with these rows (ints or Fractions, no floats).
+    Every row must have the same length, cols when given; an empty
+    matrix needs cols."""
+    data = tuple(vector(r) for r in rows)
+    if data:
+        width = len(data[0])
+        if any(len(r) != width for r in data):
+            raise ValueError("rows have inconsistent lengths")
+    else:
+        if cols is None:
+            raise ValueError("empty matrix needs an explicit column count")
+        width = cols
+    if cols is not None and data and width != cols:
+        raise ValueError("explicit column count does not match rows")
+    return Matrix(data, len(data), width)
 
 
 def identity(n: int) -> Matrix:
-    return Matrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], n)
+    return from_rows([[int(i == j) for j in range(n)] for i in range(n)], n)
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    return Matrix.from_rows([[0] * cols for _ in range(rows)], cols)
+    return from_rows([[0] * cols for _ in range(rows)], cols)
 
 
 def transpose(m: Matrix) -> Matrix:
-    return Matrix.from_rows([[row[j] for row in m.entries] for j in range(m.cols)], m.rows)
+    return from_rows([[row[j] for row in m.entries] for j in range(m.cols)], m.rows)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -42,7 +63,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     cols = transpose(b).entries
-    return Matrix.from_rows(
+    return from_rows(
         [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries], b.cols)
 
 
@@ -119,11 +140,11 @@ def change_basis(a, m: Matrix) -> dict:
         for k, v in terms:
             table[i * n + j][k] = v
             table[j * n + i][k] = -v
-    pairs = Matrix.from_rows([
+    pairs = from_rows([
         [m.entries[i][p] * m.entries[j][q] for p in range(n) for q in range(n)]
         for i in range(n) for j in range(n)
     ])
-    new = matmul(pairs, matmul(Matrix.from_rows(table), inverse(m)))
+    new = matmul(pairs, matmul(from_rows(table), inverse(m)))
     out = {}
     for i in range(n):
         for j in range(i + 1, n):

@@ -18,7 +18,7 @@ import fraction_linalg as oracle
 from lienil import _intkernel as ik
 from lienil import cli
 from lienil.chevalley import nilradical
-from lienil.exactlin import Matrix, random_unimodular
+from lienil.exactlin import random_unimodular
 from lienil.fingerprint import simple_dimension
 from lienil.nilalg import NilpotentAlgebra, change_basis
 from lienil.rootsys import SimpleType, all_types, build_root_system
@@ -217,7 +217,7 @@ def test_save_load_round_trip_of_scrambled_table(tmp_path):
     # Scrambled constants are dense rationals; the compact file must
     # read back as the same algebra.
     a = nilradical(build_root_system(SimpleType("B", 3)))
-    m = oracle.matmul(Matrix.from_rows(random_unimodular(a.dim, 5)), Matrix.from_rows(
+    m = oracle.matmul(oracle.from_rows(random_unimodular(a.dim, 5)), oracle.from_rows(
         [[F(1, k + 2) if i == k else 0 for k in range(a.dim)] for i in range(a.dim)]))
     b = change_basis(a, m)
     assert any(v.denominator > 1 for terms in b.constants.values() for _, v in terms)
@@ -495,6 +495,18 @@ def test_exit_2_invalid_json(tmp_path, capsys):
     path.write_text("not json")
     code, _, err = run(["identify", str(path)], capsys)
     assert code == 2 and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("argv", [["identify"], ["obfuscate", "--seed", "1", "-o", "out.json"]])
+def test_exit_2_deeply_nested_json(tmp_path, capsys, monkeypatch, argv):
+    # json.load raises RecursionError, not JSONDecodeError, past its depth.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10000)
+    code, out, err = run([argv[0], str(path), *argv[1:]], capsys)
+    assert code == 2 and not out
+    assert err == f"error: {path} nests JSON too deeply to read\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_exit_2_jacobi_violation(tmp_path, capsys):

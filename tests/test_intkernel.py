@@ -21,7 +21,7 @@ from fraction_linalg import RowByRowRref
 from lienil import _intkernel as ik
 from lienil import nilalg
 from lienil.chevalley import nilradical
-from lienil.exactlin import Matrix, random_unimodular
+from lienil.exactlin import random_unimodular
 from lienil.nilalg import change_basis, lower_central_series
 from lienil.rootsys import SimpleType, build_root_system
 
@@ -113,6 +113,19 @@ def test_insert_rows_matches_row_by_row(case):
         assert e.insert(np.array(new[0], dtype=object)) is False
 
 
+@pytest.mark.parametrize("big", [1, 2**70], ids=["int64", "python-int"])
+def test_residuals_after_insert_rows_see_new_rows(big):
+    """residuals reads the stored rows through a cache; after insert_rows
+    it must read the new ones, in int64 (big = 1) and in Python-int form."""
+    e = ik.rref_from_rows(as_array([[1, 0, big]], 3), 3)
+    assert e.nums.dtype == (np.int64 if big == 1 else object)
+    new = as_array([[0, 1, 1], [2, 3, 2 * big + 3]], 3)
+    assert e.residuals(new).any()  # fills the cache
+    assert e.insert_rows(new) == 1
+    assert not e.residuals(new).any()
+    assert e.residuals(as_array([[0, 0, 1]], 3)).any()
+
+
 @settings(max_examples=100, deadline=None)
 @given(span_and_rows())
 @example((3, TALL, TALL_SPANNED))
@@ -138,7 +151,7 @@ def kernel_inputs(draw):
 def oracle_kernel_rref(rows, cols) -> ik.ScaledRref:
     """rref_from_rows of the Fraction oracle's kernel vectors, each
     scaled to integers."""
-    basis = fraction_linalg.kernel(Matrix.from_rows(rows, cols=cols)).basis.entries
+    basis = fraction_linalg.kernel(fraction_linalg.from_rows(rows, cols=cols)).basis.entries
     scaled = [[x * math.lcm(*(y.denominator for y in v)) for x in v] for v in basis]
     return ik.rref_from_rows(as_array([[int(x) for x in v] for v in scaled], cols), cols)
 
