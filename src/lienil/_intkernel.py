@@ -6,9 +6,12 @@ integer array is held: compact() gives int64 when every entry is below
 row-scaling helper, promotes by an a-priori bound before it multiplies.
 Bulk products run on float64 BLAS when an a-priori bound keeps every
 partial dot product below 2^53, on numpy int64 below 2^62, and
-otherwise on Python ints, so every route gives the same result.
-Residue products modulo a word-size prime (_mod_matmul) run on float64
-BLAS, exact under an a-priori bound.
+otherwise on Python ints, so every route gives the same result.  When
+no row of the left operand has two nonzero entries, as in a Chevalley
+basis, where every bracket is one basis vector, the product is a
+gather of the right operand's rows, scaled by scale_rows.  Residue
+products modulo a word-size prime (_mod_matmul) run on float64 BLAS,
+exact under an a-priori bound.
 
 ScaledRref is the package's only row-reduced form, and its rows stay in
 compact dtype.  rref_from_rows is the every-row reduction: the pairing
@@ -17,9 +20,12 @@ scaled_inverse (change_basis, exactlin's inverse, and a graded piece's
 coset coordinates when they are not diagonal) reduces [m | sI].
 rref_of_base_rows, the base-row one, reduces each certified series
 term.  Graded pairings reduce nothing: they read coordinates off the
-series' canonical rows.  A reduction runs modulo primes from PRIMES,
-with CRT and rational reconstruction under an exact certificate
-(_certified_rref).
+series' canonical rows.  Rows with at most one nonzero entry each
+span exactly the unit vectors at their columns, and reduce to those
+at once, with no prime: in a Chevalley-basis table every series term
+and every pairing kernel reduces such rows.  Any other
+reduction runs modulo primes from PRIMES, with CRT and rational
+reconstruction under an exact certificate (_certified_rref).
 
 Under its base prime a reduction makes at most two residue
 eliminations (_echelon_mod): the first `cols` rows, then, if rows
@@ -144,14 +150,21 @@ def exact_matmul(a: np.ndarray, b: np.ndarray, a_max: int | None = None,
     whose largest absolute entries are a_max and b_max (computed when
     not given).
 
-    When inner * a_max * b_max is below 2^62 the product runs, and is
-    returned, in int64 (on float64 BLAS below 2^53, reading b_float, b
-    in float64, when given); otherwise it runs on Python ints.
+    When no row of a has two nonzero entries, row r of the product is
+    a[r, c] * b[c] for its one nonzero a[r, c] (or zero): a gather of b,
+    scaled by scale_rows under its a-priori bound and returned in
+    compact dtype.  Only a is inspected, by one count_nonzero pass.
+    Otherwise, when inner * a_max * b_max is below 2^62 the product
+    runs, and is returned, in int64 (on float64 BLAS below 2^53, reading
+    b_float, b in float64, when given); above, it runs on Python ints.
     Arithmetic that mixes an int64 result with an object array promotes
     it to Python ints, so callers never box.
     """
     if a.size == 0 or b.size == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=object)
+    support = _monomial_support(a)
+    if support is not None:
+        return _gather_matmul(a, b, b_max, *support)
     if a_max is None:
         a_max = max_abs(a)
     if b_max is None:
@@ -160,6 +173,29 @@ def exact_matmul(a: np.ndarray, b: np.ndarray, a_max: int | None = None,
     if a_max and b_max and bound < _INT64_SAFE:
         return _int64_matmul(_as_int64(a), _as_int64(b), bound, b_float)
     return _as_object(a) @ _as_object(b)
+
+
+def _monomial_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(rows, columns) of the nonzero entries of a, row by row, when no
+    row holds more than one, and None otherwise.  Only a with at most
+    one nonzero entry per row on average is looked at twice."""
+    if np.count_nonzero(a) > a.shape[0]:
+        return None
+    rows, cols = np.nonzero(a)
+    return (rows, cols) if (rows[1:] > rows[:-1]).all() else None
+
+
+def _gather_matmul(a: np.ndarray, b: np.ndarray, b_max: int | None,
+                   rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """a @ b for a whose only nonzero entries are a[rows, cols], one per
+    row at most: row r of the product is a[r, c] * b[c], a gather of b
+    scaled by scale_rows, and a zero row of a gives a zero row."""
+    g = scale_rows(b[cols], a[rows, cols].reshape(-1, 1), b_max)
+    if rows.size == a.shape[0]:
+        return g
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=g.dtype)
+    out[rows] = g
+    return out
 
 
 def _int64_matmul(a: np.ndarray, b: np.ndarray, bound: int,
@@ -324,7 +360,10 @@ def _reconstruct(res: np.ndarray, m: int, piv: list[int], ambient: int) -> "Scal
 
 def _certified_rref(rows: np.ndarray, ambient: int, every_row: bool) -> "ScaledRref":
     """The canonical reduced echelon basis of the span of the integer
-    rows, zero rows dropped.  A base prime gives, in at most two
+    rows, zero rows dropped.  When every row has at most one nonzero
+    entry, the span is the coordinate subspace on their columns, and its
+    unit rows return at once: no prime, reconstruction or certificate.
+    Otherwise a base prime gives, in at most two
     eliminations (_echelon_mod), their rank r mod p and r base rows
     carrying it: input rows and exact integer combinations of them,
     independent over Q too.  The next primes reduce only those.  A
@@ -337,9 +376,12 @@ def _certified_rref(rows: np.ndarray, ambient: int, every_row: bool) -> "ScaledR
     but not every input row shows such a short base, and the next prime
     starts again with its own sketch.  r = ambient proves the whole
     space, with no reconstruction."""
+    support = _monomial_support(rows)
+    if support is not None:  # the span of the unit vectors at the rows' columns
+        hit = np.zeros(ambient, dtype=bool)
+        hit[support[1]] = True
+        return ScaledRref.coordinate(ambient, np.flatnonzero(hit).tolist())
     rows = rows[rows.any(axis=1)]
-    if not rows.shape[0]:
-        return ScaledRref(ambient)
     base = None
     for p in PRIMES:
         if base is None:
@@ -376,7 +418,7 @@ class ScaledRref:
     (int64 when every entry is below 2^62, Python ints otherwise); row
     r represents nums[r] / dens[r]: it reads 1 at its own pivot column,
     0 at every other pivot column, and gcd(content, den) = 1.  nums
-    comes only from _reconstruct, full or null_space, each in compact
+    comes only from _reconstruct, coordinate or null_space, each in compact
     dtype, so readers multiply it as it is.  Because stored rows are fully
     reduced against each other, reducing a vector is a single linear
     combination rather than an elimination cascade, so entry sizes track
@@ -392,10 +434,17 @@ class ScaledRref:
         self._cache: tuple | None = None
 
     @staticmethod
-    def full(ambient: int) -> "ScaledRref":
+    def coordinate(ambient: int, pivots: list[int]) -> "ScaledRref":
+        """The span of the unit vectors at the ascending columns pivots."""
         e = ScaledRref(ambient)
-        e.pivots, e.nums, e.dens = list(range(ambient)), np.eye(ambient, dtype=np.int64), [1] * ambient
+        e.pivots, e.dens = pivots, [1] * len(pivots)
+        e.nums = np.zeros((len(pivots), ambient), dtype=np.int64)
+        e.nums[np.arange(len(pivots)), pivots] = 1
         return e
+
+    @staticmethod
+    def full(ambient: int) -> "ScaledRref":
+        return ScaledRref.coordinate(ambient, list(range(ambient)))
 
     def __eq__(self, other) -> bool:
         """Equal row spaces: the reduced echelon form is canonical."""

@@ -40,19 +40,30 @@ def _exact(num: int, den: int) -> int:
     return q
 
 
+def _root_keys(c: np.ndarray) -> np.ndarray:
+    """One integer key per row of the positive roots' coefficients c,
+    additive in the rows, in compact dtype.
+
+    The key is mixed radix: simple root i has the 3 m_i + 1 digits
+    -m_i..2m_i, m_i its largest coefficient.  A sum of two positive roots
+    has its i-th coefficient in 0..2m_i and a difference in -m_i..m_i, so
+    equal keys of such vectors mean equal vectors.  The keys stay in
+    int64 up to D22 and A30."""
+    radix = (3 * c.max(axis=0) + 1).tolist()
+    weights = [math.prod(radix[:i]) for i in range(len(radix))]
+    weights = ik.compact(np.array(weights, dtype=object), math.prod(radix))
+    return c.astype(weights.dtype) @ weights
+
+
 def _root_tables(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(plus, minus, len2): plus[i, j] for i < j and minus[i, j] index the
     positive roots alpha_i + alpha_j and alpha_i - alpha_j (-1 when that
     is no positive root); len2[i] = (alpha_i, alpha_i) as an integer."""
     c = np.array([r.coeffs for r in rs.positive_roots], dtype=np.int64)
-    n, rank = c.shape
+    n = c.shape[0]
     form = np.array(rs.cartan, dtype=np.int64) * np.array(symmetrizer(rs.type), dtype=np.int64)
     len2 = ((c @ form) * c).sum(axis=1)
-    # Digits in base 4m + 1 read as -2m..2m hold every sum and difference
-    # of two roots, so equal keys mean equal vectors.
-    base = 4 * int(c.max()) + 1
-    weights = ik.compact(np.array([base**i for i in range(rank)], dtype=object), base**rank)
-    keys = c.astype(weights.dtype) @ weights
+    keys = _root_keys(c)
     order = np.argsort(keys)
     ranked = keys[order]
     # Roots ascend in degree, so alpha_j - alpha_i is positive only for j > i.

@@ -6,7 +6,11 @@ a common denominator, which files are read into and written from; the
 sparse rational table for pairs i < j is a view of it.
 
 The lower central series takes one product and one row reduction per
-term, and is certified against the definition:
+term, and is certified against the definition.  In a Chevalley basis,
+where every bracket is one basis vector, each product is a gather and
+each reduction reads off a coordinate subspace with no residue prime
+(_intkernel); the series, graded pairings and their kernels of such a
+table run no modular elimination.
 
 * F_1 = N.  Each later term is the exact span of the bracket rows that
   are independent modulo the base prime, checked against those rows
@@ -416,7 +420,7 @@ def graded_pairing(g: GradedAlgebra, i: int, j: int) -> BilinearPairing:
         x = x.reshape(du, n, n).transpose(0, 2, 1).reshape(du * n, n)
         g._contracted[i] = x, ik.max_abs(x)
     x, xmax = g._contracted[i]
-    w = ik.exact_matmul(x, vi.T, xmax)
+    w = ik.exact_matmul(vi, x.T, b_max=xmax).T  # vi on the left: a gather when monomial
     w = w.reshape(du, n, dv).transpose(0, 2, 1).reshape(du * dv, n)
 
     # One product gives the coordinates and the bracket check: w lies in

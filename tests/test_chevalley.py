@@ -104,6 +104,25 @@ def test_integer_tables_match_the_fraction_construction(t):
     assert json.dumps(algebra_to_payload(a)) == json.dumps(algebra_to_payload(want))
 
 
+@pytest.mark.parametrize("name", ["D20", "A27", "D22", "A30", "G2", "F4"])
+def test_root_keys_stay_int64_and_find_sums_and_differences(name):
+    # Mixed-radix keys: D20 and A27 would pass 2^62 with one base for
+    # every simple root (9^20 and 5^27).  plus and minus must agree with
+    # a lookup of the coefficient tuples themselves.
+    rs = rsys(name)
+    coeffs = [r.coeffs for r in rs.positive_roots]
+    assert chevalley._root_keys(np.array(coeffs, dtype=np.int64)).dtype == np.int64
+    plus, minus, _ = chevalley._root_tables(rs)
+    at = {c: k for k, c in enumerate(coeffs)}
+    n = len(coeffs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            add = tuple(x + y for x, y in zip(coeffs[i], coeffs[j]))
+            sub = tuple(y - x for x, y in zip(coeffs[i], coeffs[j]))
+            assert plus[i, j] == at.get(add, -1)
+            assert minus[j, i] == at.get(sub, -1)
+
+
 def test_building_e8_creates_no_fraction(monkeypatch):
     built = 0
     new = F.__new__

@@ -2,11 +2,15 @@
 the JSON interchange schema, and the exit-code contract (0 success,
 1 semantic rejection, 2 malformed input)."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 
 import numpy as np
@@ -609,6 +613,74 @@ def test_largest_nilradical_dim_matches_type_table():
     for bound in range(1, 21):
         table = max((simple_dimension(t) - t.rank) // 2 for t in all_types(bound))
         assert cli._largest_nilradical_dim(bound) == table
+
+
+# Types whose nilradical has dim at most 12.
+SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"]
+SCALES = [1, -1, 2, F(1, 3), F(-5, 7), 2**16, F(1, 2**16 + 1)]
+
+
+def _lowest(value) -> dict:
+    value = F(value)
+    return {"num": value.numerator, "den": value.denominator}
+
+
+@st.composite
+def boundary_payloads(draw):
+    """Schema-valid payloads of dims 1-12: any set of brackets, one-term
+    brackets included, with integer or rational constants up to 2^64,
+    outputs above both inputs (nilpotent) or anywhere.  The denominators
+    come from a palette of at most three per payload.  Now and then a
+    Chevalley table rescaled by a rational diagonal basis change, a Lie
+    algebra that identify names."""
+    if draw(st.integers(0, 3)) == 0:
+        a = nilradical(build_root_system(SimpleType.parse(draw(st.sampled_from(SMALL_TYPES)))))
+        c = [F(draw(st.sampled_from(SCALES))) for _ in range(a.dim)]
+        brackets = [{"i": i, "j": j, "terms": [{"k": k, **_lowest(v * c[i] * c[j] / c[k])}
+                                              for k, v in terms]}
+                    for (i, j), terms in a.constants.items()]
+        return {"format_version": 1, "dim": a.dim, "brackets": brackets}
+    dim = draw(st.integers(1, 12))
+    above = draw(st.booleans())
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim) if not above or j + 1 < dim]
+    palette = draw(st.lists(st.one_of(st.integers(1, 6), st.integers(1, 2**64)),
+                            min_size=1, max_size=3))
+    nums = st.one_of(st.integers(-3, 3), st.integers(-(2**64), 2**64)).filter(bool)
+    brackets = []
+    for i, j in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []:
+        outputs = range(j + 1, dim) if above else range(dim)
+        terms = []
+        for k in draw(st.lists(st.sampled_from(outputs), min_size=1, max_size=3, unique=True)):
+            terms.append({"k": k, **_lowest(F(draw(nums), draw(st.sampled_from(palette))))})
+        brackets.append({"i": i, "j": j, "terms": terms})
+    return {"format_version": 1, "dim": dim, "brackets": brackets}
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(boundary_payloads())
+@example({"format_version": 1, "dim": 12, "brackets": [
+    {"i": 0, "j": 1, "terms": [{"k": 11, "num": 2**64, "den": 2**64 - 1}]}]})
+def test_identify_and_obfuscate_exit_cleanly_on_any_valid_file(payload):
+    # Exit 0, 1 or 2; on 1 or 2 one "error:" line on stderr and nothing
+    # else.  An exception escaping main would print a traceback.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        for argv in (["identify", path], ["obfuscate", path, "--seed", "3", "-o", path + ".out"]):
+            code, err = run_quietly(argv)
+            assert code in (0, 1, 2)
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+            else:
+                assert err == ""
 
 
 def test_exit_2_constants_too_large_to_check(tmp_path, capsys):

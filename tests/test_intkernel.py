@@ -4,7 +4,8 @@ ScaledRref's modular echelon form is checked against the row-by-row
 scaled-integer engine it replaced (fraction_linalg.RowByRowRref),
 null_space against the Fraction kernel (fraction_linalg.kernel), and
 the float64 routes of exact_matmul and ScaledRref.residuals against
-object-dtype products.
+object-dtype products.  Rows with at most one nonzero entry take
+neither route: their reductions and gathers meet the same oracles.
 """
 
 import math
@@ -229,9 +230,10 @@ def test_scaled_inverse_matches_row_by_row(case):
 
 
 def test_unlucky_first_prime_is_rejected_and_the_next_recovers(monkeypatch):
-    # Modulo PRIMES[0] the rows (1, 0) and (0, PRIMES[0]) have rank 1, so
-    # the first candidate, the single row (1, 0), fails the certificate:
-    # (0, PRIMES[0]) has a nonzero residual against it.
+    # Modulo PRIMES[0] the rows (1, 1) and (0, PRIMES[0]) have rank 1, so
+    # the first candidate, the single row (1, 1), fails the certificate:
+    # (0, PRIMES[0]) has a nonzero residual against it.  ((1, 1) rather
+    # than (1, 0): rows with one nonzero entry each reduce with no prime.)
     primes = []
     echelon = ik._echelon_mod
 
@@ -241,7 +243,7 @@ def test_unlucky_first_prime_is_rejected_and_the_next_recovers(monkeypatch):
 
     monkeypatch.setattr(ik, "_echelon_mod", spy)
     e = ik.ScaledRref(2)
-    assert e.insert_rows(as_array([[1, 0], [0, P0]], 2)) == 2
+    assert e.insert_rows(as_array([[1, 1], [0, P0]], 2)) == 2
     assert (e.pivots, e.dens) == ([0, 1], [1, 1])
     assert [list(num) for num in e.nums] == [[1, 0], [0, 1]]
     assert primes == [P0, P1]
@@ -290,7 +292,7 @@ def test_running_out_of_primes_raises(monkeypatch):
     monkeypatch.setattr(ik, "PRIMES", (P0,))
     e = ik.ScaledRref(2)
     with pytest.raises(ValueError, match="residue primes"):
-        e.insert_rows(as_array([[1, 0], [0, P0]], 2))
+        e.insert_rows(as_array([[1, 1], [0, P0]], 2))
     assert e.dim == 0
 
 
@@ -380,6 +382,97 @@ def test_scale_rows_promotes_by_its_bound(rows, f):
     assert_compact(got)
 
 
+# ------------------------------------------- rows with one nonzero entry
+
+monomial_values = st.one_of(
+    st.integers(-6, 6),
+    st.sampled_from([P0, -P0, 2 * P0, P0 * P1]),
+    st.builds(lambda e, k, sign: sign * (2**e + k), st.sampled_from([62, 63, 70]),
+              st.integers(0, 3), st.sampled_from([-1, 1])),
+)
+
+
+@st.composite
+def monomial_rows(draw, cols, min_rows=0):
+    """Up to 8 rows with at most one nonzero entry each: zero rows,
+    repeated columns, both signs, multiples of PRIMES[0] and Python ints
+    of 2^62 and more all occur."""
+    rows = []
+    for _ in range(draw(st.integers(min_rows, 8))):
+        row = [0] * cols
+        row[draw(st.integers(0, cols - 1))] = draw(monomial_values)
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def monomial_spans(draw):
+    cols = draw(st.integers(1, 6))
+    return cols, draw(monomial_rows(cols)), draw(monomial_rows(cols))
+
+
+def no_prime(a, p):
+    raise AssertionError("a residue elimination ran")
+
+
+def oracle_state(rows, cols) -> RowByRowRref:
+    o = RowByRowRref(cols)
+    o.insert_rows(rows)
+    return o
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_spans())
+@example((3, [[0, 0, 0]], [[0, P0, 0], [0, -2**70, 0], [2**62, 0, 0]]))
+def test_monomial_rows_reduce_without_a_prime(case):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ik, "_echelon_mod", no_prime)
+        check_monomial_reductions(*case)
+
+
+def check_monomial_reductions(cols, old, new):
+    rows = old + new
+    want = oracle_state(rows, cols)
+    for reduce in (ik.rref_from_rows, ik.rref_of_base_rows):
+        got = reduce(as_array(rows, cols), cols)
+        assert_same_state(got, want)
+        assert got.nums.dtype == np.int64
+    e, o = ik.ScaledRref(cols), RowByRowRref(cols)
+    for block in (old, new):
+        assert e.insert_rows(as_array(block, cols)) == o.insert_rows(block)
+        assert_same_state(e, o)
+    # The kernel of coordinate rows is the span of the other coordinates.
+    basis = fraction_linalg.kernel(fraction_linalg.from_rows(rows, cols=cols)).basis.entries
+    got = ik.null_space(as_array(rows, cols), cols)
+    assert_same_state(got, oracle_state([[int(x) for x in v] for v in basis], cols))
+
+
+def no_blas(*args):
+    raise AssertionError("a BLAS product ran")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda inner: st.tuples(monomial_rows(inner, 1), st.lists(
+    st.lists(straddling, min_size=3, max_size=3), min_size=inner, max_size=inner))))
+@example(([[0, 2**62 - 1], [0, 0], [-1, 0]], [[2**61, 1, 0], [1, -1, 2]]))  # int64, bound below 2^62
+@example(([[0, 2**31]], [[1, 0, 0], [2**31, 1, 0]]))  # the product is 2^62
+@example(([[2**31, 0]], [[1, 0, 0], [2**70, 1, 0]]))  # a row at 2^70 not gathered
+def test_gather_matches_object_product(case):
+    a_rows, b_rows = case
+    inner = len(b_rows)
+    a, b = as_array(a_rows, inner), as_array(b_rows, 3)
+    want = (a @ b).tolist()
+    operands = [(a, b)]
+    if all(abs(x) < 2**62 for row in a_rows + b_rows for x in row):
+        operands.append((a.astype(np.int64), b.astype(np.int64)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ik, "_int64_matmul", no_blas)
+        for x, y in operands:
+            got = ik.exact_matmul(x, y)
+            assert got.tolist() == want
+            assert_compact(got)
+
+
 # ------------------------------------------------------ float64 routes
 
 
@@ -404,10 +497,12 @@ offsets = st.sampled_from([-3, -1, 1, 5])
 
 
 @settings(max_examples=150, deadline=None)
-@given(thresholds, offsets, st.integers(1, 4), st.integers(1, 30), st.data())
+@given(thresholds, offsets, st.integers(2, 4), st.integers(1, 30), st.data())
 def test_exact_matmul_routes_by_bound(bits, offset, inner, a_bits, data):
     # Every entry sits at its maximum, with random signs, so dot products
-    # reach inner * a_max * b_max, just below or above 2^bits.
+    # reach inner * a_max * b_max, just below or above 2^bits.  inner >= 2
+    # keeps two nonzero entries in every row of a: a single one would
+    # take the gather (test_gather_matches_object_product).
     a_max = 2**a_bits + data.draw(st.integers(0, 7))
     b_max = (2**bits + offset * inner * a_max) // (inner * a_max)
     bound = inner * a_max * b_max

@@ -305,13 +305,18 @@ def test_stalled_series_raises_without_fallback(base, monkeypatch):
 
 P0 = ik.PRIMES[0]
 # Lie algebras whose bracket rows lose rank modulo PRIMES[0], the base
-# prime of every reduction.  In the first, [e0, e3] = P0 e4 vanishes mod
-# P0, so F_2's base rows span only e2 and [F_2, G] = 0: only the check
-# at l = 1 sees that [e0, e3] is not in F_2.  In the second, F_2 and F_3
-# keep their rank and F_4 = [F_3, G] has the single row P0 e4.
-UNLUCKY_AT_F2 = NilpotentAlgebra(5, {(0, 1): ((2, 1),), (0, 3): ((4, P0),)})
+# prime of every reduction.  In the first, [e0, e3] = P0 (e2 + e4)
+# vanishes mod P0, so F_2's base rows span only e2 and [F_2, G] = 0: only
+# the check at l = 1 sees that [e0, e3] is not in F_2.  The second is
+# [e0, e1] = e2, [e0, e2] = e3, [e0, e3] = P0 e4, [e1, e2] = e4 in the
+# basis e0, ..., e3, e3 + e4: F_2 and F_3 keep their rank and
+# F_4 = [F_3, G] has the single row P0 (e4 - e3).  Every bracket row
+# that vanishes mod P0 has two nonzero entries: rows with one nonzero
+# entry each span their coordinates exactly and need no prime.
+UNLUCKY_AT_F2 = NilpotentAlgebra(5, {(0, 1): ((2, 1),), (0, 3): ((2, P0), (4, P0))})
 UNLUCKY_LATER = NilpotentAlgebra(
-    5, {(0, 1): ((2, 1),), (0, 2): ((3, 1),), (0, 3): ((4, P0),), (1, 2): ((4, 1),)})
+    5, {(0, 1): ((2, 1),), (0, 2): ((3, 1),), (0, 3): ((3, -P0), (4, P0)),
+        (0, 4): ((3, -P0), (4, P0)), (1, 2): ((3, -1), (4, 1))})
 
 
 @pytest.mark.parametrize("a, dims", [(UNLUCKY_AT_F2, (5, 2, 0)),
@@ -348,6 +353,34 @@ def test_fast_path_is_taken_on_every_type(t, monkeypatch):
     a = nilradical(rs)
     for b in [a] + [change_basis(a, random_unimodular(a.dim, seed)) for seed in (1, 2)]:
         assert graded(b).dims == tuple(degree_histogram(rs))
+
+
+@pytest.mark.parametrize("t", all_types(6), ids=str)
+def test_canonical_tables_need_no_residue_prime(t, monkeypatch):
+    # In a Chevalley basis every bracket is one basis vector, so every
+    # series term, graded piece and pairing row has at most one nonzero
+    # entry: no reduction or kernel reaches a residue elimination.  A
+    # scrambled table of the same type still does.
+    rs = build_root_system(t)
+    a = nilradical(rs)
+    echelon, calls = ik._echelon_mod, []
+
+    def no_prime(x, p):
+        raise AssertionError("a residue elimination ran")
+
+    monkeypatch.setattr(ik, "_echelon_mod", no_prime)
+    g = graded(a)
+    assert g.dims == tuple(degree_histogram(rs))
+    cls = g.filtration.nilpotency_class
+    for i in range(1, cls + 1):
+        for j in range(1, cls + 1 - i):
+            p = graded_pairing(g, i, j)
+            right_kernel(p)
+            left_kernel(p)
+    monkeypatch.setattr(ik, "_echelon_mod", lambda x, p: calls.append(p) or echelon(x, p))
+    if a.dim > 1:  # A1's one-dimensional table has no bracket to scramble
+        lower_central_series(change_basis(a, random_unimodular(a.dim, 1)))
+        assert calls
 
 
 @pytest.mark.parametrize("name", ["E7", "E8"])
