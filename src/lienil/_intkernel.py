@@ -13,18 +13,18 @@ gather of the right operand's rows, scaled by scale_rows.  Residue
 products modulo a word-size prime (_mod_matmul) run on float64 BLAS,
 exact under an a-priori bound.
 
-ScaledRref is the package's only row-reduced form, and its rows stay in
-compact dtype.  rref_from_rows is the every-row reduction: the pairing
-kernels and exactlin's kernel are one null_space each, and
-scaled_inverse (change_basis, exactlin's inverse, and a graded piece's
-coset coordinates when they are not diagonal) reduces [m | sI].
-rref_of_base_rows, the base-row one, reduces each certified series
-term.  Graded pairings reduce nothing: they read coordinates off the
-series' canonical rows.  Rows with at most one nonzero entry each
-span exactly the unit vectors at their columns, and reduce to those
-at once, with no prime: in a Chevalley-basis table every series term
-and every pairing kernel reduces such rows.  Any other
-reduction runs modulo primes from PRIMES, with CRT and rational
+ScaledRref is the package's only row-reduced form: its rows are held
+over one denominator, in compact dtype.  rref_from_rows is the
+every-row reduction: the pairing kernels and exactlin's kernel are one
+null_space each, and scaled_inverse (change_basis, exactlin's inverse,
+and a graded piece's coset coordinates when they are not diagonal)
+reduces [m | sI].  rref_of_base_rows, the base-row one, reduces each
+certified series term.  Graded pairings reduce nothing: they read
+coordinates off the series' canonical rows.  Rows with at most one
+nonzero entry each span exactly the unit vectors at their columns, and
+reduce to those at once, with no prime: in a Chevalley-basis table
+every series term and every pairing kernel reduces such rows.  Any
+other reduction runs modulo primes from PRIMES, with CRT and rational
 reconstruction under an exact certificate (_certified_rref).
 
 Under its base prime a reduction makes at most two residue
@@ -75,7 +75,7 @@ def _primes_descending(top: int, span: int) -> tuple[int, ...]:
 PRIMES = _primes_descending(2**21, 2**15)
 
 
-class PrimesExhausted(ValueError):
+class PrimesExhausted(ArithmeticError):
     """An exact result needs more residue primes than PRIMES holds."""
 
 
@@ -161,7 +161,7 @@ def exact_matmul(a: np.ndarray, b: np.ndarray, a_max: int | None = None,
     it to Python ints, so callers never box.
     """
     if a.size == 0 or b.size == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=object)
+        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     support = _monomial_support(a)
     if support is not None:
         return _gather_matmul(a, b, b_max, *support)
@@ -326,8 +326,9 @@ def _reconstruct(res: np.ndarray, m: int, piv: list[int], ambient: int) -> "Scal
     """The rational rows that the reduced echelon rows res hold modulo m,
     or None if an entry is no fraction within Wang's bound.  A row's
     denominator is built from a few scalar reconstructions, each of an
-    entry still large after scaling by the factors so far.  Zeros and
-    pivot ones lift to zeros and the denominator: the form is kept."""
+    entry still large after scaling by the factors so far; Wang's bound
+    holds entry by entry, so rows meet their lcm only at the end.  Zeros
+    and pivot ones lift to zeros and the denominator: the form is kept."""
     bound = math.isqrt((m - 1) // 2)
     # Every product below is under m * bound: int64 holds them for m up to
     # two primes.
@@ -352,10 +353,10 @@ def _reconstruct(res: np.ndarray, m: int, piv: list[int], ambient: int) -> "Scal
             if abs(dens[i] * t1) > bound or math.gcd(r1, t1) != 1:
                 return None
             dens[i] *= abs(t1)
-    g = np.gcd.reduce(y, axis=1) if len(piv) else dens
-    e = ScaledRref(ambient)
-    e.pivots, e.nums, e.dens = list(piv), _compacted(y // g[:, None], bound), (dens // g).tolist()
-    return e
+    g = np.gcd.reduce(y, axis=1)
+    dens = (dens // g).astype(object)  # Python ints: their lcm can pass 2^63
+    d = math.lcm(1, *dens)
+    return ScaledRref(ambient, piv, scale_rows(y // g[:, None], (d // dens)[:, None], bound), d)
 
 
 def _certified_rref(rows: np.ndarray, ambient: int, every_row: bool) -> "ScaledRref":
@@ -412,35 +413,31 @@ def _certified_rref(rows: np.ndarray, ambient: int, every_row: bool) -> "ScaledR
 
 
 class ScaledRref:
-    """Canonical reduced row echelon form with scaled-integer rows.
+    """Canonical reduced row echelon form with rows over one denominator.
 
-    nums is one integer array with a row per pivot, in compact dtype
-    (int64 when every entry is below 2^62, Python ints otherwise); row
-    r represents nums[r] / dens[r]: it reads 1 at its own pivot column,
-    0 at every other pivot column, and gcd(content, den) = 1.  nums
-    comes only from _reconstruct, coordinate or null_space, each in compact
-    dtype, so readers multiply it as it is.  Because stored rows are fully
-    reduced against each other, reducing a vector is a single linear
-    combination rather than an elimination cascade, so entry sizes track
-    the canonical basis itself and bulk membership tests batch into one
-    integer matrix product.
+    Row r of the basis is nums[r] / den: it reads 1 at its own pivot
+    column and 0 at every other pivot column.  den is the lcm of the
+    rows' denominators, so gcd(den, content(nums)) = 1, and nums, one
+    integer array with a row per pivot, is in compact dtype (int64 when
+    every entry is below 2^62, Python ints otherwise), its largest
+    absolute entry nmax; readers multiply it as it is.  Because stored
+    rows are fully reduced against each other, reducing a vector is a
+    single linear combination rather than an elimination cascade, so
+    entry sizes track the canonical basis itself and bulk membership
+    tests batch into one integer matrix product.
     """
 
-    def __init__(self, ambient: int):
-        self.ambient = ambient
-        self.pivots: list[int] = []
-        self.nums = np.zeros((0, ambient), dtype=np.int64)
-        self.dens: list[int] = []
-        self._cache: tuple | None = None
+    def __init__(self, ambient: int, pivots=(), nums: np.ndarray | None = None, den: int = 1):
+        self.ambient, self.pivots, self.den = ambient, list(pivots), den
+        self.nums = np.zeros((0, ambient), dtype=np.int64) if nums is None else nums
+        self.nmax = max_abs(self.nums)
 
     @staticmethod
     def coordinate(ambient: int, pivots: list[int]) -> "ScaledRref":
         """The span of the unit vectors at the ascending columns pivots."""
-        e = ScaledRref(ambient)
-        e.pivots, e.dens = pivots, [1] * len(pivots)
-        e.nums = np.zeros((len(pivots), ambient), dtype=np.int64)
-        e.nums[np.arange(len(pivots)), pivots] = 1
-        return e
+        nums = np.zeros((len(pivots), ambient), dtype=np.int64)
+        nums[np.arange(len(pivots)), pivots] = 1
+        return ScaledRref(ambient, pivots, nums)
 
     @staticmethod
     def full(ambient: int) -> "ScaledRref":
@@ -449,42 +446,30 @@ class ScaledRref:
     def __eq__(self, other) -> bool:
         """Equal row spaces: the reduced echelon form is canonical."""
         return (isinstance(other, ScaledRref) and self.ambient == other.ambient
-                and self.pivots == other.pivots and self.dens == other.dens
+                and self.pivots == other.pivots and self.den == other.den
                 and np.array_equal(self.nums, other.nums))
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
-    def _scaled(self) -> tuple[np.ndarray, np.ndarray, int, int]:
-        """(pivot columns, common-denominator numerators in compact
-        dtype, denominator, max entry)."""
-        if self._cache is None:
-            d = math.lcm(1, *self.dens)
-            rnum = scale_rows(self.nums, (d // np.array(self.dens, dtype=object)).reshape(-1, 1))
-            self._cache = (np.array(self.pivots, dtype=np.intp), rnum, d, max_abs(rnum))
-        return self._cache
-
     def residuals(self, mat: np.ndarray) -> np.ndarray:
-        """d * (mat - projection of mat onto the span), row by row.
+        """den * (mat - projection of mat onto the span), row by row.
 
         A row of mat lies in the span iff its residual row is zero; the
-        scaling by the common denominator d keeps everything integral.
-        The result is int64 when the bound (d + k * rmax) * mat_max is
-        below 2^62, so that rnum is int64 too, and Python ints otherwise,
-        as in exact_matmul.
+        scaling by den keeps everything integral.  The result is int64
+        when the bound (den + k * nmax) * mat_max is below 2^62, so that
+        nums is int64 too, and Python ints otherwise, as in exact_matmul.
         """
         if mat.shape[0] == 0 or not self.pivots:
             return mat
-        piv, rnum, d, rmax = self._scaled()
-        mat_max = max_abs(mat)
-        k = len(self.pivots)
-        if mat_max and (d + k * rmax) * mat_max < _INT64_SAFE:
+        d, mat_max, k = self.den, max_abs(mat), len(self.pivots)
+        if mat_max and (d + k * self.nmax) * mat_max < _INT64_SAFE:
             m64 = _as_int64(mat)
-            out = _int64_matmul(m64[:, piv], rnum, k * rmax * mat_max)
+            out = _int64_matmul(m64[:, self.pivots], self.nums, k * self.nmax * mat_max)
             return np.subtract(d * m64, out, out=out)
         mo = _as_object(mat)
-        return d * mo - mo[:, piv] @ rnum
+        return d * mo - mo[:, self.pivots] @ self.nums
 
     def insert(self, v: np.ndarray) -> bool:
         """Add v to the span; returns True if the dimension grew."""
@@ -495,7 +480,7 @@ class ScaledRref:
         is unique, so the stored rows stacked on mat reduce to it anew."""
         new = rref_from_rows(np.vstack([self.nums, mat]), self.ambient)
         added = new.dim - self.dim
-        self.pivots, self.nums, self.dens, self._cache = new.pivots, new.nums, new.dens, new._cache
+        vars(self).update(vars(new))
         return added
 
     def to_subspace(self) -> exactlin.Subspace:
@@ -504,7 +489,7 @@ class ScaledRref:
         division per distinct entry (exactlin.rational_rows)."""
         if not self.pivots:
             return exactlin.Subspace.zero(self.ambient)
-        rows = exactlin.rational_rows(self.nums.tolist(), self.dens)
+        rows = exactlin.rational_rows(self.nums.tolist(), self.den)
         return exactlin.Subspace(self.ambient, exactlin.Matrix(rows, len(rows), self.ambient))
 
 
@@ -535,19 +520,16 @@ def null_space(m: np.ndarray, cols: int) -> ScaledRref:
     r = rref_from_rows(m[:, ::-1], cols)
     if r.dim == cols:
         return ScaledRref(cols)
-    piv, rnum, d, rmax = r._scaled()
-    piv, rnum = cols - 1 - piv, rnum[:, ::-1]
+    piv, d = cols - 1 - np.array(r.pivots, dtype=np.intp), r.den
     is_free = np.ones(cols, dtype=bool)
     is_free[piv] = False
     free = np.flatnonzero(is_free)
-    bound = max(d, rmax)
+    bound = max(d, r.nmax)
     vecs = np.zeros((free.size, cols), dtype=np.int64 if bound < _INT64_SAFE else object)
     vecs[np.arange(free.size), free] = d
-    vecs[:, piv] = -rnum[:, free].T
-    g = np.gcd.reduce(vecs, axis=1)  # includes the leading d
-    e = ScaledRref(cols)
-    e.pivots, e.nums, e.dens = free.tolist(), _compacted(vecs // g[:, None], bound), (d // g).tolist()
-    return e
+    vecs[:, piv] = -r.nums[:, ::-1][:, free].T
+    g = int(np.gcd.reduce(vecs.reshape(-1)))  # includes d
+    return ScaledRref(cols, free.tolist(), _compacted(vecs // g, bound), d // g)
 
 
 def scaled_inverse(mi: np.ndarray, s: int) -> tuple[np.ndarray, int]:
@@ -575,5 +557,4 @@ def scaled_inverse(mi: np.ndarray, s: int) -> tuple[np.ndarray, int]:
     red = rref_from_rows(np.hstack([mi, s * np.eye(n, dtype=object)]), 2 * n)
     if red.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    _, rnum, d, rmax = red._scaled()
-    return _compacted(rnum[:, n:], rmax), d
+    return _compacted(red.nums[:, n:], red.nmax), red.den

@@ -40,7 +40,7 @@ def _is_degree_filtration(f: Filtration, rs: RootSystem) -> bool:
     eye = np.eye(len(degrees), dtype=np.int64)
     expected = [[k for k, d in enumerate(degrees) if d > i] for i in range(max(degrees) + 1)]
     return [term.pivots for term in f.rrefs] == expected and all(
-        set(term.dens) <= {1} and np.array_equal(term.nums, eye[term.pivots]) for term in f.rrefs)
+        term.den == 1 and np.array_equal(term.nums, eye[term.pivots]) for term in f.rrefs)
 
 
 def _graded_matches(g: GradedAlgebra) -> bool:

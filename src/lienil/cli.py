@@ -151,13 +151,20 @@ def save_algebra(path: str, a: NilpotentAlgebra, metadata: dict | None = None) -
 def load_algebra(path: str) -> NilpotentAlgebra:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise AlgebraFileError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise AlgebraFileError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    try:
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AlgebraFileError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise AlgebraFileError(f"{path} nests JSON too deeply to read") from None
+    except ValueError:  # json's one other error: an integer past Python's limit on digits
+        raise AlgebraFileError(f"{path} holds an integer of more than "
+                               f"{sys.get_int_max_str_digits()} digits") from None
     return algebra_from_payload(payload)
 
 

@@ -71,13 +71,12 @@ class Subspace:
         return all(x == 0 for x in w)
 
 
-def rational_rows(rows: Sequence[Sequence[int]], dens: Sequence[int]) -> tuple[Vector, ...]:
-    """The rows rows[r] / dens[r] of Fractions.  Each distinct value is
-    built once and shared by every entry that holds it."""
-    memo: dict[int, dict[int, Fraction]] = {}
+def rational_rows(rows: Sequence[Sequence[int]], den: int) -> tuple[Vector, ...]:
+    """The rows rows[r] / den of Fractions, over one denominator.  Each
+    distinct value is built once and shared by every entry that holds it."""
+    seen: dict[int, Fraction] = {}
     out = []
-    for row, den in zip(rows, dens):
-        seen = memo.setdefault(den, {})
+    for row in rows:
         for x in set(row).difference(seen):
             seen[x] = Fraction(x, den)
         out.append(tuple(map(seen.__getitem__, row)))
@@ -96,7 +95,7 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("inverse needs a square matrix")
     v, d = ik.scaled_inverse(*ik.scaled_int(m))
-    return Matrix(rational_rows(v.tolist(), [d] * m.rows), m.rows, m.cols)
+    return Matrix(rational_rows(v.tolist(), d), m.rows, m.cols)
 
 
 def random_unimodular(d: int, seed: int) -> list[list[int]]:

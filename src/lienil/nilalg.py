@@ -285,8 +285,7 @@ def _iterate(terms: list[ik.ScaledRref], table: np.ndarray, tmax: int,
     while terms[-1].dim:
         if len(terms) > n + 1:
             raise NotNilpotentError("lower central series does not terminate")
-        u = terms[-1].nums
-        prod = ik.exact_matmul(u, table, ik.max_abs(u), tmax)
+        prod = ik.exact_matmul(terms[-1].nums, table, terms[-1].nmax, tmax)
         nxt = span(prod.reshape(-1, n), n)
         if nxt == terms[-1]:
             raise NotNilpotentError("lower central series stalls before zero")
@@ -296,12 +295,9 @@ def _iterate(terms: list[ik.ScaledRref], table: np.ndarray, tmax: int,
 
 def _complement(cur: ik.ScaledRref, nxt: ik.ScaledRref) -> tuple[np.ndarray, int]:
     """(rows, s): the rows of cur's canonical basis whose pivots are not
-    pivots of nxt, as integers over their common denominator s."""
+    pivots of nxt, as integers over cur's denominator s."""
     drop = set(nxt.pivots)
-    keep = [r for r, p in enumerate(cur.pivots) if p not in drop]
-    dens = np.array([cur.dens[r] for r in keep], dtype=object)
-    s = math.lcm(1, *dens)
-    return ik.scale_rows(cur.nums[keep], (s // dens).reshape(-1, 1)), s
+    return cur.nums[[r for r, p in enumerate(cur.pivots) if p not in drop]], cur.den
 
 
 class GradedAlgebra:
@@ -337,7 +333,7 @@ class GradedAlgebra:
     @cached_property
     def pieces(self) -> tuple[Matrix, ...]:
         n = self.algebra.dim
-        return tuple(Matrix(rational_rows(rows.tolist(), [s] * len(rows)), len(rows), n)
+        return tuple(Matrix(rational_rows(rows.tolist(), s), len(rows), n)
                      for rows, s in self._scaled)
 
     @property
@@ -357,7 +353,7 @@ class GradedAlgebra:
         if i < 1:
             raise ValueError("graded degree starts at 1")
         if i > len(self._scaled):
-            return np.zeros((0, self.algebra.dim), dtype=object), 1
+            return np.zeros((0, self.algebra.dim), dtype=np.int64), 1
         return self._scaled[i - 1]
 
 
@@ -391,7 +387,7 @@ class BilinearPairing:
     @cached_property
     def tensor(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
         (du, dv), dt = self.source_dims, self.target_dim
-        vecs = rational_rows(self.coords.reshape(du * dv, dt).tolist(), [self.den] * (du * dv))
+        vecs = rational_rows(self.coords.reshape(du * dv, dt).tolist(), self.den)
         return tuple(vecs[r * dv:(r + 1) * dv] for r in range(du))
 
 
@@ -464,8 +460,6 @@ def _coset_coordinates(g: GradedAlgebra, k: int) -> tuple:
         rres = nxt.residuals(reps)
         try:
             v, dz = ik.scaled_inverse(rres[:, q], 1)
-        except ik.PrimesExhausted:
-            raise
         except ValueError:  # Z is singular
             raise basis_error from None
         free = np.ones(n, dtype=bool)

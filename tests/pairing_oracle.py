@@ -42,4 +42,4 @@ def augmented_pairing(g: GradedAlgebra, i: int, j: int) -> BilinearPairing:
     if res[:, :n].any():
         raise AssertionError("bracket left the expected filtration level")
     coords = -res[:, n:].reshape(du, dv, dt)
-    return BilinearPairing(i, j, (du, dv), dt, coords, e._scaled()[2] * cs * us * vs)
+    return BilinearPairing(i, j, (du, dv), dt, coords, e.den * cs * us * vs)

@@ -513,6 +513,27 @@ def test_exit_2_deeply_nested_json(tmp_path, capsys, monkeypatch, argv):
     assert not (tmp_path / "out.json").exists()
 
 
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("argv", [["identify"], ["obfuscate", "--seed", "1", "-o", "out.json"]])
+@pytest.mark.parametrize("data, message", [
+    (b'{"format_version": 1, "dim": "\xff"}', "is not UTF-8 text: invalid start byte at byte 30"),
+    (b'{"format_version": 1, "dim": ' + b"7" * (DIGIT_LIMIT + 1) + b"}",
+     f"holds an integer of more than {DIGIT_LIMIT} digits"),
+], ids=["invalid-utf8", "too-many-digits"])
+def test_exit_2_unreadable_bytes_or_digits_name_the_file(tmp_path, capsys, monkeypatch, argv,
+                                                        data, message):
+    # Both reach json.load as ValueErrors that are no JSONDecodeError.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run([argv[0], str(path), *argv[1:]], capsys)
+    assert code == 2 and not out
+    assert err == f"error: {path} {message}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_exit_2_jacobi_violation(tmp_path, capsys):
     path = tmp_path / "nojac.json"
     path.write_text(json.dumps({
@@ -802,9 +823,12 @@ def test_verify_claims_small(capsys):
     assert "10/10 claims passed" in out
 
 
-def test_verify_claims_rank_above_bound(capsys):
-    code, _, err = run(["verify-claims", "--max-rank", "13"], capsys)
-    assert code == 2 and "max-rank" in err
+@pytest.mark.parametrize("command", ["table", "verify-claims"])
+def test_verify_claims_rank_above_bound(capsys, monkeypatch, command):
+    monkeypatch.delenv(cli.ENV_MAX_RANK, raising=False)
+    code, out, err = run([command, "--max-rank", "13"], capsys)
+    assert code == 2 and not out
+    assert err == "error: --max-rank must be between 1 and 12\n"
 
 
 def test_run_claims_ids_are_stable():

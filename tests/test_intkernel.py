@@ -88,9 +88,16 @@ def as_array(rows, cols):
 
 
 def assert_same_state(e: ik.ScaledRref, o: RowByRowRref):
+    """e holds the oracle's per-row rows brought to the lcm of their
+    denominators, in lowest terms, in compact dtype."""
+    d = math.lcm(1, *o.dens)
     assert e.pivots == o.pivots
-    assert [[int(x) for x in num] for num in e.nums] == o.nums
-    assert [int(d) for d in e.dens] == o.dens
+    assert e.den == d
+    assert [[int(x) for x in num] for num in e.nums] == [
+        [x * (d // den) for x in num] for num, den in zip(o.nums, o.dens)]
+    assert math.gcd(e.den, *(int(x) for x in e.nums.flat)) == 1
+    assert e.nmax == max((abs(int(x)) for x in e.nums.flat), default=0)
+    assert_compact(e.nums)
 
 
 @settings(max_examples=200, deadline=None)
@@ -116,12 +123,12 @@ def test_insert_rows_matches_row_by_row(case):
 
 @pytest.mark.parametrize("big", [1, 2**70], ids=["int64", "python-int"])
 def test_residuals_after_insert_rows_see_new_rows(big):
-    """residuals reads the stored rows through a cache; after insert_rows
-    it must read the new ones, in int64 (big = 1) and in Python-int form."""
+    """After insert_rows, residuals must read the new rows, in int64
+    (big = 1) and in Python-int form."""
     e = ik.rref_from_rows(as_array([[1, 0, big]], 3), 3)
     assert e.nums.dtype == (np.int64 if big == 1 else object)
     new = as_array([[0, 1, 1], [2, 3, 2 * big + 3]], 3)
-    assert e.residuals(new).any()  # fills the cache
+    assert e.residuals(new).any()
     assert e.insert_rows(new) == 1
     assert not e.residuals(new).any()
     assert e.residuals(as_array([[0, 0, 1]], 3)).any()
@@ -170,7 +177,7 @@ def oracle_kernel_rref(rows, cols) -> ik.ScaledRref:
 def test_null_space_matches_fraction_kernel(case):
     cols, rows = case
     want = oracle_kernel_rref(rows, cols)
-    assert ik.null_space(as_array(rows, cols), cols) == want  # pivots, nums and dens
+    assert ik.null_space(as_array(rows, cols), cols) == want  # pivots, nums and den
     # int64 input takes the same path as object input.
     if all(abs(x) < 2**62 for row in rows for x in row):
         assert ik.null_space(np.array(rows, dtype=np.int64).reshape(-1, cols), cols) == want
@@ -244,7 +251,7 @@ def test_unlucky_first_prime_is_rejected_and_the_next_recovers(monkeypatch):
     monkeypatch.setattr(ik, "_echelon_mod", spy)
     e = ik.ScaledRref(2)
     assert e.insert_rows(as_array([[1, 1], [0, P0]], 2)) == 2
-    assert (e.pivots, e.dens) == ([0, 1], [1, 1])
+    assert (e.pivots, e.den) == ([0, 1], 1)
     assert [list(num) for num in e.nums] == [[1, 0], [0, 1]]
     assert primes == [P0, P1]
 
@@ -291,7 +298,7 @@ def test_sketch_is_fixed_and_in_range():
 def test_running_out_of_primes_raises(monkeypatch):
     monkeypatch.setattr(ik, "PRIMES", (P0,))
     e = ik.ScaledRref(2)
-    with pytest.raises(ValueError, match="residue primes"):
+    with pytest.raises(ik.PrimesExhausted, match="residue primes"):
         e.insert_rows(as_array([[1, 1], [0, P0]], 2))
     assert e.dim == 0
 
@@ -342,8 +349,7 @@ def test_compact_rows_match_row_by_row_near_int64(case):
     for rows in (old, new):
         assert e.insert_rows(as_array(rows, cols)) == o.insert_rows(rows)
         assert_same_state(e, o)
-        assert_compact(e.nums)
-        assert_compact(e._scaled()[1])
+        assert_compact(e.nums)  # the rows over their lcm, as residuals reads them
     want = oracle_kernel_rref(old + new, cols)
     got = ik.null_space(as_array(old + new, cols), cols)
     assert got == want
@@ -365,6 +371,14 @@ def test_scaled_inverse_is_compact_near_int64(m, s):
     assert got_d == d
     assert v.tolist() == [[x * (d // den) for x in num[n:]] for num, den in zip(o.nums, o.dens)]
     assert_compact(v)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((0, 3), (3, 2)), ((2, 0), (0, 3)), ((2, 3), (3, 0))])
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_empty_products_are_int64_zeros(a_shape, b_shape, dtype):
+    got = ik.exact_matmul(np.ones(a_shape, dtype=dtype), np.ones(b_shape, dtype=dtype))
+    assert got.shape == (a_shape[0], b_shape[1]) and not got.any()
+    assert_compact(got)
 
 
 @pytest.mark.parametrize("rows, f", [
@@ -643,4 +657,8 @@ def test_reconstruct_recovers_rows_near_wang_bound(primes):
         rows.append([x * pow(den, -1, m) % m for x in nums])
     res = np.array(rows, dtype=np.int64 if m < 2**62 else object)
     got = ik._reconstruct(res, m, [0, 1, 2], 6)
-    assert [([int(x) for x in num], int(d)) for num, d in zip(got.nums, got.dens)] == want
+    d = math.lcm(*(den for _, den in want))
+    assert got.den == d
+    assert [[int(x) for x in num] for num in got.nums] == [[x * (d // den) for x in num]
+                                                          for num, den in want]
+    assert_compact(got.nums)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import fraction_linalg as oracle
 from pairing_oracle import augmented_pairing
+from test_intkernel import assert_compact
 from lienil import _intkernel as ik
 from lienil import nilalg
 from lienil.chevalley import nilradical, verify_jacobi
@@ -613,6 +614,12 @@ def test_pairing_above_class_is_zero():
     assert p.target_dim == 0
     assert right_kernel(p) == oracle.full(1)
     assert left_kernel(p) == oracle.full(2)
+    # Past the class, a piece has no rows and a pairing no target: int64
+    # zeros, as every array below 2^62.
+    rows, s = g.scaled_piece(3)
+    assert rows.shape == (0, 3) and s == 1 and p.coords.shape == (2, 1, 0)
+    assert_compact(rows)
+    assert_compact(p.coords)
 
 
 def test_upper_triangular_pairing_kernels():
@@ -782,6 +789,20 @@ def test_representatives_are_checked_per_degree():
     for k, rows, message in cases:
         with pytest.raises(ValueError, match=message):
             graded_pairing(_with_piece(g, k, rows), 1, 1)
+
+
+def test_coset_coordinates_out_of_primes_are_not_a_basis_error(monkeypatch):
+    # Piece 1 of A3 mixed so that Z = [[P0, 1, 0], [1, 0, 0], [0, 0, 1]],
+    # whose inverse holds -P0: one prime cannot reconstruct it, and running
+    # out of primes is not a ValueError ("not a basis").
+    g = graded(nilradical(build_root_system(SimpleType.parse("A3"))))
+    p0, gr1 = ik.PRIMES[0], g.scaled_piece(1)[0]
+    rows = [p0 * gr1[0] + gr1[1], gr1[0], gr1[2]]
+    want = augmented_pairing(_with_piece(g, 1, rows), 1, 1)
+    assert graded_pairing(_with_piece(g, 1, rows), 1, 1).tensor == want.tensor
+    monkeypatch.setattr(ik, "PRIMES", (p0,))
+    with pytest.raises(ik.PrimesExhausted):
+        graded_pairing(_with_piece(g, 1, rows), 1, 1)
 
 
 def _mixed(g: GradedAlgebra, seed: int) -> GradedAlgebra:
