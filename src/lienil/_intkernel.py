@@ -19,13 +19,15 @@ every-row reduction: the pairing kernels and exactlin's kernel are one
 null_space each, and scaled_inverse (change_basis, exactlin's inverse,
 and a graded piece's coset coordinates when they are not diagonal)
 reduces [m | sI].  rref_of_base_rows, the base-row one, reduces each
-certified series term.  Graded pairings reduce nothing: they read
-coordinates off the series' canonical rows.  Rows with at most one
-nonzero entry each span exactly the unit vectors at their columns, and
-reduce to those at once, with no prime: in a Chevalley-basis table
-every series term and every pairing kernel reduces such rows.  Any
-other reduction runs modulo primes from PRIMES, with CRT and rational
-reconstruction under an exact certificate (_certified_rref).
+certified series term, from F_3 on in the previous term's pivot
+coordinates (ScaledRref.lift).  Graded pairings reduce nothing: they
+read coordinates off the series' canonical rows.  Rows with at most
+one nonzero entry each span exactly the unit vectors at their columns,
+and reduce to those at once, with no prime; a residual against unit
+rows only zeroes columns.  In a Chevalley-basis table every series
+term and pairing kernel takes these routes.  Any other reduction runs
+modulo primes from PRIMES, with CRT and rational reconstruction under
+an exact certificate (_certified_rref).
 
 Under its base prime a reduction makes at most two residue
 eliminations (_echelon_mod): the first `cols` rows, then, if rows
@@ -429,8 +431,9 @@ class ScaledRref:
 
     def __init__(self, ambient: int, pivots=(), nums: np.ndarray | None = None, den: int = 1):
         self.ambient, self.pivots, self.den = ambient, list(pivots), den
-        self.nums = np.zeros((0, ambient), dtype=np.int64) if nums is None else nums
-        self.nmax = max_abs(self.nums)
+        nums = np.zeros((0, ambient), dtype=np.int64) if nums is None else nums
+        self.nmax = max_abs(nums)
+        self.nums = compact(nums, self.nmax)
 
     @staticmethod
     def coordinate(ambient: int, pivots: list[int]) -> "ScaledRref":
@@ -453,16 +456,26 @@ class ScaledRref:
     def dim(self) -> int:
         return len(self.pivots)
 
+    @property
+    def is_coordinate(self) -> bool:
+        """The rows are the unit vectors at the pivots (den is then 1)."""
+        return np.count_nonzero(self.nums) == self.dim
+
     def residuals(self, mat: np.ndarray) -> np.ndarray:
         """den * (mat - projection of mat onto the span), row by row.
 
         A row of mat lies in the span iff its residual row is zero; the
-        scaling by den keeps everything integral.  The result is int64
-        when the bound (den + k * nmax) * mat_max is below 2^62, so that
-        nums is int64 too, and Python ints otherwise, as in exact_matmul.
+        scaling by den keeps everything integral.  On unit rows it is
+        mat with the pivot columns zeroed, in mat's dtype.  Otherwise it
+        is int64 when the bound (den + k * nmax) * mat_max is below 2^62,
+        so that nums is int64 too, and Python ints otherwise.
         """
         if mat.shape[0] == 0 or not self.pivots:
             return mat
+        if self.is_coordinate:
+            out = mat.copy()
+            out[:, self.pivots] = 0
+            return out
         d, mat_max, k = self.den, max_abs(mat), len(self.pivots)
         if mat_max and (d + k * self.nmax) * mat_max < _INT64_SAFE:
             m64 = _as_int64(mat)
@@ -470,6 +483,19 @@ class ScaledRref:
             return np.subtract(d * m64, out, out=out)
         mo = _as_object(mat)
         return d * mo - mo[:, self.pivots] @ self.nums
+
+    def lift(self, coords: "ScaledRref") -> "ScaledRref":
+        """The subspace whose coordinates against these rows span coords
+        (coords.ambient = dim).  A vector of this span is its entries at
+        the pivots times the rows, so coords' rows times these rows are
+        canonical at once, over coords.den * den up to one gcd."""
+        if not coords.dim:
+            return ScaledRref(self.ambient)
+        w = exact_matmul(coords.nums, self.nums, coords.nmax, self.nmax)
+        d = coords.den * self.den
+        g = math.gcd(d, int(np.gcd.reduce(w.ravel()))) if d > 1 else 1
+        return ScaledRref(self.ambient, [self.pivots[p] for p in coords.pivots],
+                          w // g if g > 1 else w, d // g)
 
     def insert(self, v: np.ndarray) -> bool:
         """Add v to the span; returns True if the dimension grew."""
@@ -529,7 +555,7 @@ def null_space(m: np.ndarray, cols: int) -> ScaledRref:
     vecs[np.arange(free.size), free] = d
     vecs[:, piv] = -r.nums[:, ::-1][:, free].T
     g = int(np.gcd.reduce(vecs.reshape(-1)))  # includes d
-    return ScaledRref(cols, free.tolist(), _compacted(vecs // g, bound), d // g)
+    return ScaledRref(cols, free.tolist(), vecs // g, d // g)
 
 
 def scaled_inverse(mi: np.ndarray, s: int) -> tuple[np.ndarray, int]:

@@ -12,23 +12,25 @@ each reduction reads off a coordinate subspace with no residue prime
 (_intkernel); the series, graded pairings and their kernels of such a
 table run no modular elimination.
 
-* F_1 = N.  Each later term is the exact span of the bracket rows that
-  are independent modulo the base prime, checked against those rows
-  only (_intkernel.rref_of_base_rows): F_2 from the rows of the
-  constant table, F_{l+1} from the rows of [F_l, G], where G, the
-  standard basis vectors at F_2's non-pivot coordinates, spans a
-  complement of F_2.  So F_{l+1} <= [F_l, N] and F_l <= N^l for any
-  antisymmetric table, and in a nilpotent Lie algebra F_l = N^l
-  unless the base prime is unlucky (de Graaf, Lie Algebras: Theory and
-  Algorithms, 2000).
+* F_1 = N.  Each later term is the exact span of the rows that are
+  independent modulo the base prime, checked against those rows only
+  (_intkernel.rref_of_base_rows): F_2 of the constant table's rows,
+  F_{l+1} of the rows of [F_l, G], G the standard basis vectors at F_2's
+  non-pivot coordinates, at F_l's pivots P only, lifted by one product
+  with F_l's rows (ScaledRref.lift), so F_{l+1} <= F_l.  In a nilpotent
+  Lie algebra F_l = N^l unless the base prime is unlucky (de Graaf, Lie
+  Algebras: Theory and Algorithms, 2000).
 * Assuming no Jacobi identity, it checks for every l >= 1 that
-  F_{l+1} <= F_l and [P_l, e_j] in F_{l+1} for every j, P_l the rows of
-  F_l's canonical basis at pivots F_{l+1} lacks (P_1: the generators).
-  As F_l = span P_l + F_{l+1}, induction from the zero term gives
-  [F_l, N] <= F_{l+1}, hence N^l <= F_l <= N^l.  An unlucky base prime
-  only fails a check; a failed check falls back to the definition.
-* A term that repeats, or one nonzero after n + 1 terms, proves that no
-  N^l vanishes (F_l <= N^l), and raises NotNilpotentError.
+  [P_l, e_j] in F_{l+1} for every j, P_l the rows of F_l's canonical
+  basis at pivots F_{l+1} lacks (P_1: the generators).  As F_l =
+  span P_l + F_{l+1}, induction from the zero term gives [F_l, N] <=
+  F_{l+1}: the rows of [F_l, G] lie in F_l, whose vectors are fixed by
+  their entries at P, so N^l <= F_l <= N^l.  An unlucky base prime only
+  fails a check; a failed check falls back to the definition.
+* A stall, F_2 = N or rows of [F_l, G] of coordinate rank dim F_l that
+  lie in F_l, gives F_l <= [F_l, N], so F_l <= N^k for every k, and
+  raises NotNilpotentError.  Rows that leave F_l prove nothing, and the
+  definition decides.  Otherwise every term is smaller than the last.
 
 Terms and graded pieces stay integer rows; their Subspace and Matrix
 forms are views built on first read.
@@ -247,21 +249,28 @@ def _direct_series(a: NilpotentAlgebra) -> Filtration | None:
     if f2.dim == n:
         raise NotNilpotentError("derived subalgebra is the whole algebra")
 
-    # t_gen[b, g*n + c] = t[b, gen[g], c], so u @ t_gen reshaped to
-    # (rows * gens, n) lists the brackets [row, generator] batchwise.
+    # tg[b, g, c] = t[b, gen[g], c], so u @ tg reshaped to (rows * gens, n)
+    # lists the brackets [row, generator] batchwise, tg[:, :, P] at P only.
     is_gen = np.ones(n, dtype=bool)
     is_gen[f2.pivots] = False
-    gen = np.flatnonzero(is_gen)
-    terms = _iterate([ik.ScaledRref.full(n), f2], t[:, gen, :].reshape(n, gen.size * n), tmax,
-                     ik.rref_of_base_rows)
+    tg = t[:, is_gen, :]
+    terms = [ik.ScaledRref.full(n), f2]
+    while terms[-1].dim:
+        cur, d = terms[-1], terms[-1].dim
+        rows = ik.exact_matmul(cur.nums, tg[:, :, cur.pivots].reshape(n, -1), cur.nmax, tmax)
+        coords = ik.rref_of_base_rows(rows.reshape(-1, d), d)
+        if coords.dim == d:
+            brackets = ik.exact_matmul(cur.nums, tg.reshape(n, -1), cur.nmax, tmax)
+            if cur.residuals(brackets.reshape(-1, n)).any():
+                return None
+            raise NotNilpotentError("lower central series stalls before zero")
+        terms.append(cur.lift(coords))
 
     # The certificate's products read t in float64, converted once here,
     # whenever some product can take the float64 route.
     flat = t.reshape(n, n * n)
     flat_f = flat.astype(np.float64) if n * tmax < 2**53 else None
     for cur, nxt in zip(terms, terms[1:]):
-        if cur.residuals(nxt.nums).any():
-            return None
         p, _ = _complement(cur, nxt)
         rows = ik.exact_matmul(p, flat, ik.max_abs(p), tmax, flat_f)
         if nxt.residuals(rows.reshape(p.shape[0] * n, n)).any():
@@ -273,24 +282,14 @@ def _definitional_series(a: NilpotentAlgebra) -> Filtration:
     """N^{i+1} as the literal span of [basis(N^i), e_j] at every step."""
     n = a.dim
     t, _, tmax = a.int_tensor()
-    return Filtration(tuple(_iterate([ik.ScaledRref.full(n)], t.reshape(n, n * n), tmax,
-                                     ik.rref_from_rows)))
-
-
-def _iterate(terms: list[ik.ScaledRref], table: np.ndarray, tmax: int,
-             span) -> list[ik.ScaledRref]:
-    """Append span(basis(terms[-1]) @ table, as rows of length n) until it
-    is zero; see the module docstring for the two raises."""
-    n = terms[0].ambient
+    terms = [ik.ScaledRref.full(n)]
     while terms[-1].dim:
-        if len(terms) > n + 1:
-            raise NotNilpotentError("lower central series does not terminate")
-        prod = ik.exact_matmul(terms[-1].nums, table, terms[-1].nmax, tmax)
-        nxt = span(prod.reshape(-1, n), n)
+        prod = ik.exact_matmul(terms[-1].nums, t.reshape(n, n * n), terms[-1].nmax, tmax)
+        nxt = ik.rref_from_rows(prod.reshape(-1, n), n)
         if nxt == terms[-1]:
             raise NotNilpotentError("lower central series stalls before zero")
         terms.append(nxt)
-    return terms
+    return Filtration(tuple(terms))
 
 
 def _complement(cur: ik.ScaledRref, nxt: ik.ScaledRref) -> tuple[np.ndarray, int]:

@@ -134,6 +134,22 @@ def test_residuals_after_insert_rows_see_new_rows(big):
     assert e.residuals(as_array([[0, 0, 1]], 3)).any()
 
 
+@pytest.mark.parametrize("rows", [3, 0], ids=["rows", "empty"])
+@pytest.mark.parametrize("dtype, big", [(np.int64, 7), (object, 2**70)],
+                         ids=["int64", "python-int"])
+def test_coordinate_residuals_match_the_product_route(rows, dtype, big, monkeypatch):
+    # On unit rows the residual is the input with the pivot columns zeroed,
+    # which the product by the stored rows gives too.
+    e = ik.ScaledRref.coordinate(5, [0, 2, 3])
+    assert e.is_coordinate and not ik.rref_from_rows(as_array([[1, 2, 0]], 3), 3).is_coordinate
+    mat = np.array([[big, -1, 2, -big, 3], [0, 4, 0, 0, -5], [1, 1, 1, 1, 1]], dtype=dtype)[:rows]
+    before = mat.copy()
+    got = e.residuals(mat)
+    assert np.array_equal(mat, before) and got.dtype == mat.dtype
+    monkeypatch.setattr(ik.ScaledRref, "is_coordinate", property(lambda self: False))
+    assert got.tolist() == e.residuals(mat).tolist()
+
+
 @settings(max_examples=100, deadline=None)
 @given(span_and_rows())
 @example((3, TALL, TALL_SPANNED))

@@ -343,6 +343,40 @@ def test_unlucky_base_prime_still_proves_non_nilpotency():
         lower_central_series(a)
 
 
+def test_stall_with_brackets_outside_the_term_falls_back(monkeypatch):
+    # Modulo P0 the rows [e0, e1] = -e2 and [e1, e2] = e2 + P0 e3 are
+    # dependent and the first, of larger residue, leads: F_2 = span(e2),
+    # short of N^2 = span(e2, e3).  The bracket [e2, e1] = -(e2 + P0 e3)
+    # has full coordinate rank in F_2 but leaves it, so that stall proves
+    # nothing and the definition decides.
+    a = NilpotentAlgebra(4, {(0, 1): ((2, -1),), (1, 2): ((2, 1), (3, P0))})
+    assert nilalg._direct_series(a) is None
+    ran = []
+    monkeypatch.setattr(nilalg, "_definitional_series",
+                        lambda b: ran.append(b) or _definitional_series(b))
+    with pytest.raises(NotNilpotentError, match="stalls before zero"):
+        lower_central_series(a)
+    assert ran == [a]
+
+
+def test_non_jacobi_table_with_brackets_outside_a_term_matches_the_definition(monkeypatch):
+    # Modulo P0 the row [e3, e4] = e2 + P0 e5 is a multiple of [e0, e1] = -e2,
+    # so F_2 = span(e2, e3) falls short of N^2 = span(e2, e3, e5) and
+    # [e3, e4] in [F_2, G] leaves F_2.  Its coordinates in F_2 have rank 1,
+    # so the series goes on, and the certificate rejects it.  Jacobi fails
+    # on (e0, e1, e4).
+    a = NilpotentAlgebra(6, {(0, 1): ((2, -1),), (0, 3): ((2, 1),), (1, 4): ((3, 1),),
+                             (3, 4): ((2, 1), (5, P0))})
+    assert not verify_jacobi(a).ok
+    ran = []
+    monkeypatch.setattr(nilalg, "_definitional_series",
+                        lambda b: ran.append(b) or _definitional_series(b))
+    f = lower_central_series(a)
+    assert ran == [a]
+    assert f.dims == (6, 3, 2, 0)
+    assert f == _definitional_series(a)
+
+
 def _no_fallback(b):
     raise AssertionError("the definitional series ran")
 
@@ -390,6 +424,28 @@ def test_fast_path_is_taken_on_scrambled_e7_and_e8(name, monkeypatch):
     rs = build_root_system(SimpleType.parse(name))
     a = nilradical(rs)
     assert graded(change_basis(a, random_unimodular(a.dim, 1))).dims == tuple(degree_histogram(rs))
+
+
+def test_scrambled_e7_series_makes_few_column_steps(monkeypatch):
+    # Each term is reduced in the previous term's pivot coordinates, so a
+    # reduction's blocks have dim F_l columns, not n.  A column step is one
+    # pass of _eliminate's loop: over the columns nonzero on entry, up to
+    # the last pivot when the rows run out, all of them otherwise.
+    a = nilradical(build_root_system(SimpleType.parse("E7")))
+    b = change_basis(a, random_unimodular(a.dim, 11))
+    eliminate, steps = ik._eliminate, []
+
+    def spy(x, p):
+        nonzero = np.flatnonzero(x.any(axis=0))
+        piv, order = eliminate(x, p)
+        full = piv and len(piv) == len(x)
+        steps.append(int(np.searchsorted(nonzero, piv[-1])) + 1 if full else nonzero.size)
+        return piv, order
+
+    monkeypatch.setattr(ik, "_eliminate", spy)
+    monkeypatch.setattr(nilalg, "_definitional_series", _no_fallback)
+    lower_central_series(b)
+    assert sum(steps) <= 500
 
 
 def test_rational_and_huge_tables_take_the_fast_path(monkeypatch):
