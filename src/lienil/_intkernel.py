@@ -4,14 +4,13 @@ All arithmetic is integer-exact.  This module alone decides how an
 integer array is held: compact() gives int64 when every entry is below
 2^62 and Python ints (object dtype) otherwise, and scale_rows, the one
 row-scaling helper, promotes by an a-priori bound before it multiplies.
-Bulk products run on float64 BLAS when an a-priori bound keeps every
-partial dot product below 2^53, on numpy int64 below 2^62, and
-otherwise on Python ints, so every route gives the same result.  When
-no row of the left operand has two nonzero entries, as in a Chevalley
-basis, where every bracket is one basis vector, the product is a
-gather of the right operand's rows, scaled by scale_rows.  Residue
-products modulo a word-size prime (_mod_matmul) run on float64 BLAS,
-exact under an a-priori bound.
+exact_matmul alone picks a product route: a gather of the right
+operand's rows when no row of the left one has two nonzero entries (as
+in a Chevalley basis, where every bracket is one basis vector), float64
+BLAS passes, each exact below 2^53, when an a-priori bound keeps every
+dot product below 2^62 (_int64_matmul), and Python ints above.  Residue
+products (_mod_matmul) run on float64 BLAS too: no product reaches
+numpy's own int64 matmul, which runs without BLAS.
 
 ScaledRref is the package's only row-reduced form: its rows are held
 over one denominator, in compact dtype.  rref_from_rows is the
@@ -33,10 +32,9 @@ Under its base prime a reduction makes at most two residue
 eliminations (_echelon_mod): the first `cols` rows, then, if rows
 remain and the rank is below `cols`, one fixed integer sketch of the
 rest (_sketch).  The base rows are input rows plus exact integer
-combinations of them, and every candidate passes an exact residual
-certificate (or the series certificate), so an unlucky sketch, like an
-unlucky prime, only costs a retry with the next prime and its own
-sketch, or the definitional series.
+combinations of them, and every candidate passes an exact certificate,
+so an unlucky sketch, like an unlucky prime, only costs a retry with
+the next prime and its own sketch, or the definitional series.
 
 Structure constants arrive as nilalg's integer tensor, files included;
 Fractions appear only where scaled_int reads rational matrices and
@@ -72,8 +70,9 @@ def _primes_descending(top: int, span: int) -> tuple[int, ...]:
 
 
 # The residue primes, about 2,300 of them, each just below 2^21: a
-# residue product stays exact for inner dimensions up to 2^53 / 2^42 =
-# 2048, beyond any dense structure tensor that fits in memory.
+# residue product takes one float64 pass up to inner dimension 2^53 /
+# 2^42 = 2048 and split passes up to 2^20 (_mod_matmul); a sketch's
+# signed entries keep one pass to 2^28 (E8's has inner dimension 7,020).
 PRIMES = _primes_descending(2**21, 2**15)
 
 
@@ -106,9 +105,7 @@ def scaled_int(m: exactlin.Matrix) -> tuple[np.ndarray, int]:
 
 
 def max_abs(a: np.ndarray) -> int:
-    if a.size == 0:
-        return 0
-    return int(np.abs(a).max())
+    return int(np.abs(a).max()) if a.size else 0
 
 
 def _as_object(a: np.ndarray) -> np.ndarray:
@@ -137,8 +134,7 @@ def scale_rows(a: np.ndarray, f, a_max: int | None = None) -> np.ndarray:
     or a column of integer factors, one per row.  The a-priori bound
     a_max * max |f| picks the route: int64 below 2^62, where the product
     cannot overflow, and Python ints otherwise."""
-    if a_max is None:
-        a_max = max_abs(a)
+    a_max = max_abs(a) if a_max is None else a_max
     f = np.asarray(f, dtype=object)
     bound = max(a_max, 1) * max_abs(f.reshape(-1))  # also bounds f, which int64 must hold
     if bound < _INT64_SAFE:
@@ -150,30 +146,27 @@ def exact_matmul(a: np.ndarray, b: np.ndarray, a_max: int | None = None,
                  b_max: int | None = None, b_float: np.ndarray | None = None) -> np.ndarray:
     """a @ b with exact integer results, for int64 or object matrices
     whose largest absolute entries are a_max and b_max (computed when
-    not given).
+    not given): the package's one product router.
 
     When no row of a has two nonzero entries, row r of the product is
     a[r, c] * b[c] for its one nonzero a[r, c] (or zero): a gather of b,
-    scaled by scale_rows under its a-priori bound and returned in
-    compact dtype.  Only a is inspected, by one count_nonzero pass.
-    Otherwise, when inner * a_max * b_max is below 2^62 the product
-    runs, and is returned, in int64 (on float64 BLAS below 2^53, reading
-    b_float, b in float64, when given); above, it runs on Python ints.
-    Arithmetic that mixes an int64 result with an object array promotes
-    it to Python ints, so callers never box.
+    scaled by scale_rows and returned in compact dtype.  Only a is
+    inspected, by one count_nonzero pass.  Otherwise, when inner * a_max
+    * b_max is below 2^62, the product runs in exact float64 passes
+    (_int64_matmul, reading b_float, b in float64, when given) and is
+    returned in int64; above, it runs on Python ints.  Arithmetic that
+    mixes an int64 result with an object array promotes it to Python
+    ints, so callers never box.
     """
-    if a.size == 0 or b.size == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    support = _monomial_support(a)
+    support = _monomial_support(a)  # also an empty a
     if support is not None:
         return _gather_matmul(a, b, b_max, *support)
-    if a_max is None:
-        a_max = max_abs(a)
-    if b_max is None:
-        b_max = max_abs(b)
-    bound = a.shape[1] * a_max * b_max
-    if a_max and b_max and bound < _INT64_SAFE:
-        return _int64_matmul(_as_int64(a), _as_int64(b), bound, b_float)
+    a_max = max_abs(a) if a_max is None else a_max
+    b_max = max_abs(b) if b_max is None else b_max
+    if not b_max:  # zeros, whatever a holds
+        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    if a.shape[1] * a_max * b_max < _INT64_SAFE:
+        return _int64_matmul(_as_int64(a), _as_int64(b), a_max, b_max, b_float)
     return _as_object(a) @ _as_object(b)
 
 
@@ -200,16 +193,39 @@ def _gather_matmul(a: np.ndarray, b: np.ndarray, b_max: int | None,
     return out
 
 
-def _int64_matmul(a: np.ndarray, b: np.ndarray, bound: int,
+def _int64_matmul(a: np.ndarray, b: np.ndarray, a_max: int, b_max: int,
                   b_float: np.ndarray | None = None) -> np.ndarray:
-    """a @ b for int64 matrices with partial dot products within bound <
-    2^62; below 2^53 on float64 BLAS (b in float64 is b_float, converted
-    here when not given), exact there, a slice of rows at a time."""
-    if bound >= _FLOAT64_EXACT:
-        return a @ b
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    """a @ b in int64 on float64 BLAS, for int64 matrices whose largest
+    absolute entries are a_max and b_max, with inner * a_max * b_max <
+    2^62; every pass by b reads b_float (b in float64) when given.
+
+    Below 2^53 one pass is exact: float64 holds every partial dot
+    product.  Above, the operand with the larger entries is split (b by
+    transposing), after Ozaki, Ogita, Oishi and Rump (Numer. Algorithms
+    59, 2012): a = hi * 2^s + lo, hi = a >> s, lo = a & (2^s - 1) in
+    [0, 2^s), s the largest with inner * 2^s * b_max < 2^53, so the pass
+    over lo is exact.  |hi| <= (a_max >> s) + 1, and hi @ b is split
+    again while its bound reaches 2^53.  In the int64 sum, |(hi @ b) *
+    2^s| <= inner * (a_max + 2^s) * b_max < 2^62 + 2^53 < 2^63.  As
+    b_max <= a_max, inner * b_max < 2^31 * sqrt(inner), so s >= 1 for
+    inner below 2^40, and each split shrinks hi."""
+    inner = a.shape[1]
+    if inner * a_max * b_max >= _FLOAT64_EXACT and b_max > a_max:
+        return _int64_matmul(b.T, a.T, b_max, a_max).T
     bf = b.astype(np.float64) if b_float is None else b_float
-    step = 2**17 // max(1, b.shape[1]) + 1
+    if inner * a_max * b_max < _FLOAT64_EXACT:
+        return _float64_pass(a, bf)
+    s = ((_FLOAT64_EXACT - 1) // (inner * b_max)).bit_length() - 1
+    out = _int64_matmul(a >> s, b, (a_max >> s) + 1, b_max, bf)
+    out *= 2**s
+    out += _float64_pass(a & (2**s - 1), bf)
+    return out
+
+
+def _float64_pass(a: np.ndarray, bf: np.ndarray) -> np.ndarray:
+    """a @ bf in int64, a slice of rows at a time; exact below 2^53."""
+    out = np.empty((a.shape[0], bf.shape[1]), dtype=np.int64)
+    step = 2**17 // max(1, bf.shape[1]) + 1
     for lo in range(0, a.shape[0], step):
         out[lo:lo + step] = a[lo:lo + step].astype(np.float64) @ bf
     return out
@@ -220,14 +236,14 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p for int64 residues in [0, p).  Below 2^53 float64
-    BLAS is exact: every partial dot product is an integer x with 0 <= x
+    """(a @ b) mod p for int64 residues in [0, p).  Below 2^53 one float64
+    pass is exact: every partial dot product is an integer x with 0 <= x
     <= inner * (p - 1)^2, and in x - floor(x / p) * p the rounded
     quotient is off from x / p by less than 1 / p, which cannot carry it
-    across an integer.  (np.fmod gives the same values, about 30 times
-    slower: its cost grows with the bit length of the quotient.)"""
+    across an integer (np.fmod is about 30 times slower).  Above, the
+    split passes of _int64_matmul, exact for inner below 2^20."""
     if a.shape[1] * (p - 1) ** 2 >= _FLOAT64_EXACT:
-        return a @ b % p  # int64 holds inner * (p - 1)^2 for inner below 2^20
+        return _int64_matmul(a, b, p - 1, p - 1) % p
     out = a.astype(np.float64) @ b.astype(np.float64)
     quot = out / p
     np.floor(quot, out=quot)
@@ -237,18 +253,18 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _eliminate(x: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """Gauss-Jordan elimination of int64 residues x mod p in place, one numpy
-    step per column that is nonzero on entry (row operations keep a zero
+    """Gauss-Jordan elimination of int64 residues x mod p in place, one
+    numpy step per column nonzero on entry (row operations keep a zero
     column zero): (pivots, row permutation); reduced rows in x[:rank],
     every entry of x reduced mod p on return.
 
     Reduction is lazy: a step reduces only the column f it searches and
-    the pivot row r, and subtracts f * r from the block unreduced.  Each step
-    moves an entry by less than p^2, so every entry stays within
-    (steps + 1) * p^2 < 2^63 until the one reduction at the end.  Rows
-    stay in place until then: a column's pivot row is the row, among
-    those not yet pivots, with the largest residue there (any nonzero one
-    gives the same reduced rows), and the loop stops when the rows run out.
+    the pivot row r, and subtracts f * r from the block unreduced, so
+    every entry stays within (steps + 1) * p^2 < 2^63 until the one
+    reduction at the end.  Rows stay in place until then: a column's
+    pivot row is the free row with the largest residue there (any
+    nonzero one gives the same reduced rows), and the loop stops when
+    the rows run out.
     """
     rows, cols = x.shape
     assert (min(rows, cols) + 1) * p * p < 2**63, "lazy reduction could overflow"
@@ -283,8 +299,7 @@ _SPREAD = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xBF58476
 def _sketch(k: int, m: int, p: int) -> np.ndarray:
     """A fixed k x m int64 matrix with entries in [-16, 15]: the top five
     bits of a 64-bit hash (one xorshift-multiply round) of row, column
-    and the prime p.  No state and no generator: the same call gives the
-    same matrix, and each prime its own."""
+    and the prime p, so each prime has its own, with no state."""
     u64 = np.uint64
     h = (np.arange(k, dtype=u64)[:, None] * u64(_SPREAD[0]) ^ np.arange(m, dtype=u64) * u64(_SPREAD[1])
          ^ u64(p * _SPREAD[2] % 2**64))
@@ -295,17 +310,16 @@ def _sketch(k: int, m: int, p: int) -> np.ndarray:
 
 def _echelon_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray | None]:
     """Reduced echelon form of int64 residues a mod p, in at most two
-    eliminations: (pivots, reduced rows, sel, mix).  Its span mod p is
-    that of the rows a[sel] plus, when mix is given, the combinations
-    mix @ a[cols:].
+    eliminations: (pivots, reduced rows, sel, mix), spanning mod p the
+    rows a[sel] plus, when mix is given, the rows of mix @ a[cols:].
 
     The first elimination takes the first `cols` rows, and sel are those
     that carry its pivots.  At rank `cols` no other row is read.  Below
     it, a fixed sketch (_sketch) of cols - rank + 4 combinations of the
     remaining rows is reduced against the first block and eliminated;
-    the combinations that carry new pivots form mix.  The rank mod p
-    falls short of the rows' only when p or the sketch is unlucky, which
-    the caller's exact certificate catches.
+    the combinations that carry new pivots form mix.  Only an unlucky p
+    or sketch leaves the rank mod p short, which the caller's exact
+    certificate catches.
     """
     cols = a.shape[1]
     x = a[:cols].copy()
@@ -313,7 +327,7 @@ def _echelon_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray, np.ndarr
     sel, red, mix = order[:len(piv)], x[:len(piv)], None
     if a.shape[0] > cols and len(piv) < cols:
         s = _sketch(cols - len(piv) + _SKETCH_EXTRA, a.shape[0] - cols, p)
-        z = _mod_matmul(s % p, a[cols:], p)
+        z = exact_matmul(s, a[cols:], 16, p - 1) % p  # one float64 pass for inner below 2^28
         z = (z - _mod_matmul(z[:, piv], red, p)) % p
         if z.any():  # a remaining row is not spanned
             zpiv, zorder = _eliminate(z, p)
@@ -327,13 +341,12 @@ def _echelon_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray, np.ndarr
 def _reconstruct(res: np.ndarray, m: int, piv: list[int], ambient: int) -> "ScaledRref | None":
     """The rational rows that the reduced echelon rows res hold modulo m,
     or None if an entry is no fraction within Wang's bound.  A row's
-    denominator is built from a few scalar reconstructions, each of an
-    entry still large after scaling by the factors so far; Wang's bound
-    holds entry by entry, so rows meet their lcm only at the end.  Zeros
-    and pivot ones lift to zeros and the denominator: the form is kept."""
+    denominator is built from scalar reconstructions of entries still
+    large after scaling by the factors so far; as Wang's bound holds
+    entry by entry, rows meet their lcm only at the end.  Zeros and
+    pivot ones lift to zeros and the denominator."""
     bound = math.isqrt((m - 1) // 2)
-    # Every product below is under m * bound: int64 holds them for m up to
-    # two primes.
+    # Every product below is under m * bound: int64 holds it up to two primes.
     if m * bound < 2**63:
         res, dens = _as_int64(res), np.ones(len(piv), dtype=np.int64)
     else:
@@ -363,22 +376,19 @@ def _reconstruct(res: np.ndarray, m: int, piv: list[int], ambient: int) -> "Scal
 
 def _certified_rref(rows: np.ndarray, ambient: int, every_row: bool) -> "ScaledRref":
     """The canonical reduced echelon basis of the span of the integer
-    rows, zero rows dropped.  When every row has at most one nonzero
-    entry, the span is the coordinate subspace on their columns, and its
-    unit rows return at once: no prime, reconstruction or certificate.
-    Otherwise a base prime gives, in at most two
-    eliminations (_echelon_mod), their rank r mod p and r base rows
-    carrying it: input rows and exact integer combinations of them,
-    independent over Q too.  The next primes reduce only those.  A
-    candidate, r rows in reduced echelon form, is adopted only if every
-    input row (every_row) or every base row (not every_row) has zero
-    residual against it by an exact product.  With every_row, as r <=
-    rank over Q, the spans agree.  Otherwise the candidate is the exact
-    span of the base rows, which an unlucky base prime or sketch leaves
-    short of the whole row span.  A candidate that holds the base rows
-    but not every input row shows such a short base, and the next prime
-    starts again with its own sketch.  r = ambient proves the whole
-    space, with no reconstruction."""
+    rows, zero rows dropped.  Rows with at most one nonzero entry each
+    span the coordinate subspace on their columns, returned at once.
+    Otherwise a base prime gives, in at most two eliminations
+    (_echelon_mod), their rank r mod p and r base rows carrying it:
+    input rows and exact integer combinations of them, independent over
+    Q too.  The next primes reduce only those.  A candidate, r rows in
+    reduced echelon form, is adopted only if every input row (every_row)
+    or every base row (not every_row) has zero residual against it.
+    With every_row, as r <= rank over Q, the spans agree.  Otherwise it
+    is the exact span of the base rows, short of the row span only for
+    an unlucky base prime or sketch; a candidate that holds the base
+    rows but not every input row shows this, and the next prime starts
+    again with its own sketch.  r = ambient proves the whole space."""
     support = _monomial_support(rows)
     if support is not None:  # the span of the unit vectors at the rows' columns
         hit = np.zeros(ambient, dtype=bool)
@@ -420,13 +430,10 @@ class ScaledRref:
     Row r of the basis is nums[r] / den: it reads 1 at its own pivot
     column and 0 at every other pivot column.  den is the lcm of the
     rows' denominators, so gcd(den, content(nums)) = 1, and nums, one
-    integer array with a row per pivot, is in compact dtype (int64 when
-    every entry is below 2^62, Python ints otherwise), its largest
-    absolute entry nmax; readers multiply it as it is.  Because stored
-    rows are fully reduced against each other, reducing a vector is a
-    single linear combination rather than an elimination cascade, so
-    entry sizes track the canonical basis itself and bulk membership
-    tests batch into one integer matrix product.
+    integer array with a row per pivot, is in compact dtype, its largest
+    absolute entry nmax.  As the rows are fully reduced against each
+    other, reducing a vector is one linear combination, and bulk
+    membership tests batch into one integer matrix product.
     """
 
     def __init__(self, ambient: int, pivots=(), nums: np.ndarray | None = None, den: int = 1):
@@ -465,24 +472,19 @@ class ScaledRref:
         """den * (mat - projection of mat onto the span), row by row.
 
         A row of mat lies in the span iff its residual row is zero; the
-        scaling by den keeps everything integral.  On unit rows it is
-        mat with the pivot columns zeroed, in mat's dtype.  Otherwise it
-        is int64 when the bound (den + k * nmax) * mat_max is below 2^62,
-        so that nums is int64 too, and Python ints otherwise.
+        scaling by den keeps everything integral.  On unit rows (no rows
+        included) it is mat with the pivot columns zeroed, in mat's
+        dtype.  Otherwise it is den * mat (scale_rows) less one
+        exact_matmul product: int64, its entries below 2^63, when both
+        are int64.
         """
-        if mat.shape[0] == 0 or not self.pivots:
-            return mat
         if self.is_coordinate:
             out = mat.copy()
             out[:, self.pivots] = 0
             return out
-        d, mat_max, k = self.den, max_abs(mat), len(self.pivots)
-        if mat_max and (d + k * self.nmax) * mat_max < _INT64_SAFE:
-            m64 = _as_int64(mat)
-            out = _int64_matmul(m64[:, self.pivots], self.nums, k * self.nmax * mat_max)
-            return np.subtract(d * m64, out, out=out)
-        mo = _as_object(mat)
-        return d * mo - mo[:, self.pivots] @ self.nums
+        mat_max = max_abs(mat)
+        return (scale_rows(mat, self.den, mat_max)
+                - exact_matmul(mat[:, self.pivots], self.nums, mat_max, self.nmax))
 
     def lift(self, coords: "ScaledRref") -> "ScaledRref":
         """The subspace whose coordinates against these rows span coords
@@ -510,9 +512,8 @@ class ScaledRref:
         return added
 
     def to_subspace(self) -> exactlin.Subspace:
-        """The span as a canonical rational subspace; the stored rows
-        already form the reduced echelon basis, so this is one exact
-        division per distinct entry (exactlin.rational_rows)."""
+        """The span as a canonical rational subspace: one exact division
+        per distinct entry of the stored rows (exactlin.rational_rows)."""
         if not self.pivots:
             return exactlin.Subspace.zero(self.ambient)
         rows = exactlin.rational_rows(self.nums.tolist(), self.den)
@@ -527,17 +528,15 @@ def rref_from_rows(rows: np.ndarray, ambient: int) -> ScaledRref:
 
 def rref_of_base_rows(rows: np.ndarray, ambient: int) -> ScaledRref:
     """The canonical basis of the span of the base rows that the base
-    prime picks from the rows, checked against those base rows only: the
-    whole row span unless that prime or its sketch is unlucky, a subspace
-    of it always."""
+    prime picks from the rows, checked against those only: the row span
+    unless that prime or its sketch is unlucky, a subspace of it always."""
     return _certified_rref(rows, ambient, every_row=False)
 
 
 def null_space(m: np.ndarray, cols: int) -> ScaledRref:
     """{v : m @ v = 0} in canonical form, from one certified reduction of
-    m with its columns reversed (rref_from_rows, so at most two residue
-    eliminations under the base prime).  Full rank there proves the zero
-    kernel, with no reconstruction and nothing to assemble.  Otherwise,
+    m with its columns reversed (rref_from_rows).  Full rank there
+    proves the zero kernel, with nothing to assemble.  Otherwise,
     read in normal column order, row r of the reduction is 1 at its
     pivot c_r, 0 at the other pivots and after c_r.  Free column f gives
     the vector that is 1 at f, 0 at the other free columns and -row_r[f]
@@ -550,8 +549,7 @@ def null_space(m: np.ndarray, cols: int) -> ScaledRref:
     is_free = np.ones(cols, dtype=bool)
     is_free[piv] = False
     free = np.flatnonzero(is_free)
-    bound = max(d, r.nmax)
-    vecs = np.zeros((free.size, cols), dtype=np.int64 if bound < _INT64_SAFE else object)
+    vecs = np.zeros((free.size, cols), dtype=np.int64 if max(d, r.nmax) < _INT64_SAFE else object)
     vecs[np.arange(free.size), free] = d
     vecs[:, piv] = -r.nums[:, ::-1][:, free].T
     g = int(np.gcd.reduce(vecs.reshape(-1)))  # includes d
@@ -560,8 +558,7 @@ def null_space(m: np.ndarray, cols: int) -> ScaledRref:
 
 def scaled_inverse(mi: np.ndarray, s: int) -> tuple[np.ndarray, int]:
     """(V, d) with V / d the inverse of the square matrix mi / s, for
-    an integer matrix mi; V is int64 when its entries are below 2^62
-    and Python ints otherwise (compact).
+    an integer matrix mi, V in compact dtype.
 
     [mi | s * I] reduces to [I | (mi / s)^-1]: V is the right half of
     the reduced rows over their common denominator d.  The rank is

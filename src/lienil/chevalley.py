@@ -52,7 +52,7 @@ def _root_keys(c: np.ndarray) -> np.ndarray:
     radix = (3 * c.max(axis=0) + 1).tolist()
     weights = [math.prod(radix[:i]) for i in range(len(radix))]
     weights = ik.compact(np.array(weights, dtype=object), math.prod(radix))
-    return c.astype(weights.dtype) @ weights
+    return (c.astype(weights.dtype) * weights).sum(axis=1)
 
 
 def _root_tables(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -62,7 +62,7 @@ def _root_tables(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     c = np.array([r.coeffs for r in rs.positive_roots], dtype=np.int64)
     n = c.shape[0]
     form = np.array(rs.cartan, dtype=np.int64) * np.array(symmetrizer(rs.type), dtype=np.int64)
-    len2 = ((c @ form) * c).sum(axis=1)
+    len2 = (ik.exact_matmul(c, form) * c).sum(axis=1)
     keys = _root_keys(c)
     order = np.argsort(keys)
     ranked = keys[order]
@@ -201,7 +201,7 @@ def verify_jacobi(a: NilpotentAlgebra) -> JacobiReport:
     i, j = a.bracket_pairs()
     edge[i, j] = edge[j, i] = 1
     free = 1 - edge - np.eye(n, dtype=np.int64)  # distinct pairs with zero bracket
-    untouched = int(((free @ free) * free).sum()) // 6
+    untouched = int((ik.exact_matmul(free, free, 1, 1) * free).sum()) // 6
     return JacobiReport(not violations, violations, math.comb(n, 3) - untouched)
 
 

@@ -53,6 +53,7 @@ Constants = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
 # Nonzero constants c[i][j][k] = num / den, i < j, in lowest terms, den >= 1,
 # as one flat list i, j, k, num, den, i, j, k, num, den, ...
 Terms = list[int]
+_FLOAT_INPUT = "floating point input is not allowed; use Fraction or int"
 
 
 class NotNilpotentError(Exception):
@@ -71,7 +72,7 @@ def _validated_terms(dim: int, constants) -> Terms:
             if not (0 <= k < dim):
                 raise ValueError(f"bracket output index {k} out of range")
             if isinstance(val, float):
-                raise TypeError("floating point input is not allowed; use Fraction or int")
+                raise TypeError(_FLOAT_INPUT)
             val = val if isinstance(val, (int, Fraction)) else Fraction(val)
             if val:
                 if k in seen:
@@ -266,10 +267,9 @@ def _direct_series(a: NilpotentAlgebra) -> Filtration | None:
             raise NotNilpotentError("lower central series stalls before zero")
         terms.append(cur.lift(coords))
 
-    # The certificate's products read t in float64, converted once here,
-    # whenever some product can take the float64 route.
+    # The certificate's int64 products read t in float64, converted once here.
     flat = t.reshape(n, n * n)
-    flat_f = flat.astype(np.float64) if n * tmax < 2**53 else None
+    flat_f = flat.astype(np.float64) if flat.dtype == np.int64 else None
     for cur, nxt in zip(terms, terms[1:]):
         p, _ = _complement(cur, nxt)
         rows = ik.exact_matmul(p, flat, ik.max_abs(p), tmax, flat_f)
@@ -316,10 +316,9 @@ class GradedAlgebra:
     terms k and k+1 and Q the pivots of F that F' lacks, a vector of F
     is determined modulo F' by its residual against F' at the columns Q.
     So the representatives are checked once per degree, and the square
-    matrix Z of their residuals at Q, diagonal for graded()'s own
-    pieces, is inverted once; no degree needs a row reduction of its own.
-    The product that reads the coordinates also checks that a bracket lies
-    in its term.
+    matrix Z of their residuals at Q, diagonal for graded()'s own pieces,
+    is inverted once.  The product that reads the coordinates also
+    checks that a bracket lies in its term.
     """
 
     def __init__(self, algebra: NilpotentAlgebra, filtration: Filtration,
@@ -496,6 +495,10 @@ def change_basis(a: NilpotentAlgebra, m: Matrix | list[list[int]]) -> NilpotentA
     mi, ms = ik.scaled_int(m) if isinstance(m, Matrix) else (np.array(m, dtype=object), 1)
     if mi.shape != (n, n):
         raise ValueError("change of basis matrix must be dim x dim")
+    if not set(map(type, mi.flat)) <= {int}:
+        if not all(isinstance(x, (int, np.integer)) for x in mi.flat):
+            raise TypeError(_FLOAT_INPUT)  # the integer kernel would truncate it
+        mi = np.frompyfunc(int, 1, 1)(mi)  # numpy integers would wrap around
     vi, vs = ik.scaled_inverse(mi, ms)  # raises ValueError when singular
     t, cs, tmax = a.int_tensor()
     mmax = ik.max_abs(mi)

@@ -3,11 +3,13 @@
 ScaledRref's modular echelon form is checked against the row-by-row
 scaled-integer engine it replaced (fraction_linalg.RowByRowRref),
 null_space against the Fraction kernel (fraction_linalg.kernel), and
-the float64 routes of exact_matmul and ScaledRref.residuals against
-object-dtype products.  Rows with at most one nonzero entry take
-neither route: their reductions and gathers meet the same oracles.
+the float64 passes of exact_matmul, split ones included, and of
+ScaledRref.residuals against object-dtype products.  Rows with at most
+one nonzero entry take no pass: their reductions and gathers meet the
+same oracles.
 """
 
+import contextlib
 import math
 import pathlib
 import re
@@ -506,20 +508,25 @@ def test_gather_matches_object_product(case):
 # ------------------------------------------------------ float64 routes
 
 
-class CastSpy(np.ndarray):
-    """int64 array that records the dtypes it is converted to."""
+@contextlib.contextmanager
+def spied_products():
+    """Yields (passes, gathers), filled as the kernel runs: the bound
+    inner * max|x| * max|y| of each float64 pass, and each gather."""
+    passes, gathers = [], []
+    float64_pass, gather = ik._float64_pass, ik._gather_matmul
 
-    casts: list = []
+    def spy_pass(x, bf):
+        passes.append(x.shape[1] * ik.max_abs(x) * int(np.abs(bf).max(initial=0)))
+        return float64_pass(x, bf)
 
-    def astype(self, dtype, *args, **kwargs):
-        CastSpy.casts.append(np.dtype(dtype))
-        return super().astype(dtype, *args, **kwargs)
+    def spy_gather(*args):
+        gathers.append(args)
+        return gather(*args)
 
-
-def took_float_route(fn):
-    CastSpy.casts = []
-    out = fn()
-    return out, np.dtype(np.float64) in CastSpy.casts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ik, "_float64_pass", spy_pass)
+        mp.setattr(ik, "_gather_matmul", spy_gather)
+        yield passes, gathers
 
 
 thresholds = st.sampled_from([53, 62])
@@ -532,7 +539,8 @@ def test_exact_matmul_routes_by_bound(bits, offset, inner, a_bits, data):
     # Every entry sits at its maximum, with random signs, so dot products
     # reach inner * a_max * b_max, just below or above 2^bits.  inner >= 2
     # keeps two nonzero entries in every row of a: a single one would
-    # take the gather (test_gather_matches_object_product).
+    # take the gather (test_gather_matches_object_product).  Below 2^62
+    # the product runs in float64 passes, one below 2^53.
     a_max = 2**a_bits + data.draw(st.integers(0, 7))
     b_max = (2**bits + offset * inner * a_max) // (inner * a_max)
     bound = inner * a_max * b_max
@@ -543,9 +551,10 @@ def test_exact_matmul_routes_by_bound(bits, offset, inner, a_bits, data):
     b[:, 0] = b_max
     want = a @ b
     if bound < 2**62:
-        a64, b64 = a.astype(np.int64).view(CastSpy), b.astype(np.int64)
-        got, used_float = took_float_route(lambda: ik.exact_matmul(a64, b64))
-        assert used_float == (bound < 2**53)
+        with spied_products() as (passes, gathers):
+            got = ik.exact_matmul(a.astype(np.int64), b.astype(np.int64))
+        assert not gathers and passes and max(passes) < 2**53
+        assert (len(passes) == 1) == (bound < 2**53)
         assert got.dtype == np.int64
     else:
         got = ik.exact_matmul(a, b)
@@ -557,7 +566,8 @@ def test_exact_matmul_routes_by_bound(bits, offset, inner, a_bits, data):
 @given(thresholds, offsets, st.integers(1, 40), st.data())
 def test_residuals_route_by_bound(bits, offset, x_bits, data):
     # One stored row (1, x): the residual of (u, v) is (0, v - u * x),
-    # and the product's bound is rmax * mat_max = x * mat_max.
+    # and the product's bound is rmax * mat_max = x * mat_max.  Its left
+    # operand is the one column u, so the product is a gather.
     x = 2**x_bits + data.draw(st.integers(0, 7))
     mat_max = max(1, (2**bits + offset * x) // x)
     e = ik.rref_from_rows(np.array([[1, x]], dtype=object), 2)
@@ -566,32 +576,140 @@ def test_residuals_route_by_bound(bits, offset, x_bits, data):
     mat = np.array([u, v], dtype=object).T
     want = [[0, b - a * x] for a, b in zip(u, v)]
     if (1 + x) * mat_max < 2**62:
-        got, used_float = took_float_route(
-            lambda: e.residuals(mat.astype(np.int64).view(CastSpy)))
-        assert used_float == (x * mat_max < 2**53)
+        with spied_products() as (passes, gathers):
+            got = e.residuals(mat.astype(np.int64))
+        assert len(gathers) == 1 and not passes
+        assert got.dtype == np.int64
     else:
         got = e.residuals(mat)
     assert got.tolist() == want
 
 
+def test_zero_operands_give_int64_zeros():
+    dense = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    zeros = np.zeros((2, 3), dtype=np.int64)
+    huge = np.array([[2**70, 1], [1, -(2**70)]], dtype=object)
+    for x, y in [(dense, zeros), (zeros.T, dense), (huge, zeros), (huge, zeros.astype(object))]:
+        got = ik.exact_matmul(x, y)
+        assert got.dtype == np.int64 and not got.any()
+    got = ik.rref_from_rows(np.array([[1, 3, 5]]), 3).residuals(np.zeros((2, 3), dtype=np.int64))
+    assert got.dtype == np.int64 and not got.any()
+
+
+@st.composite
+def split_operands(draw):
+    """(a, b): integer operands whose bound inner * a_max * b_max lies
+    just below or just above 2^53 or 2^62, with the larger entries in a
+    or in b and random signs; row 0 of a and column 0 of b sit at the
+    maxima."""
+    bits, inner = draw(st.sampled_from([53, 62])), draw(st.integers(2, 5))
+    small_max = 2**draw(st.integers(0, 24)) + draw(st.integers(0, 7))
+    offset = draw(st.sampled_from([-5, -1, 1, 3]))
+    big_max = (2**bits + offset * inner * small_max) // (inner * small_max)
+
+    def operand(rows, cols, top):
+        m = np.array([[draw(st.integers(-top, top)) for _ in range(cols)] for _ in range(rows)],
+                     dtype=object)
+        m[0] = [draw(st.sampled_from([-top, top])) for _ in range(cols)]
+        return m
+
+    a, b = operand(3, inner, big_max), operand(2, inner, small_max).T
+    if draw(st.booleans()):  # the larger entries in b: the transposed split
+        a, b = operand(3, inner, small_max), operand(2, inner, big_max).T
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_operands(), st.booleans())
+def test_split_passes_match_object_product(case, give_b_float):
+    a, b = case
+    inner, a_max, b_max = a.shape[1], ik.max_abs(a), ik.max_abs(b)
+    want = (a @ b).tolist()
+    if inner * a_max * b_max >= 2**62:
+        assert ik.exact_matmul(a, b).tolist() == want
+        return
+    a64, b64 = a.astype(np.int64), b.astype(np.int64)
+    bf = b64.astype(np.float64) if give_b_float else None
+    with spied_products() as (passes, _):
+        got = ik.exact_matmul(a64, b64, b_float=bf)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert max(passes) < 2**53 and (len(passes) == 1) == (inner * a_max * b_max < 2**53)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2**12, 2**20]), st.integers(1, 4), st.data())
+def test_recursive_splits_match_object_product(threshold, inner, data):
+    # Under a lower pass threshold, the same bound argument splits hi
+    # again, and switches the split to b once hi's entries are the
+    # smaller.  inner * small < threshold / 2 keeps every s >= 1.
+    small = data.draw(st.integers(1, 2**6))
+    big = data.draw(st.integers(small, 2**40))
+    cells = lambda top, rows, cols: np.array(
+        data.draw(st.lists(st.lists(st.integers(-top, top), min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows)), dtype=np.int64).reshape(rows, cols)
+    a, b = cells(big, 3, inner), cells(small, inner, 2)
+    if data.draw(st.booleans()):
+        a, b = cells(small, 3, inner), cells(big, inner, 2)
+    a_max, b_max = ik.max_abs(a), ik.max_abs(b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ik, "_FLOAT64_EXACT", threshold)
+        got = ik._int64_matmul(a, b, a_max, b_max)
+    assert got.tolist() == (a.astype(object) @ b.astype(object)).tolist()
+
+
 def test_int64_rule_lives_in_intkernel_only():
-    # Only _intkernel chooses between int64 and Python ints.
+    # Only _intkernel chooses between int64 and Python ints, and between
+    # one float64 pass and split ones.
     rule = re.compile(r"_INT64_SAFE|_as_int64|_as_object")
     src = pathlib.Path(ik.__file__).parent
     assert rule.search((src / "_intkernel.py").read_text())
     assert [p.name for p in sorted(src.glob("*.py"))
             if p.name != "_intkernel.py" and rule.search(p.read_text())] == []
+    assert not re.search(r"2\*\*53|_FLOAT64_EXACT", (src / "nilalg.py").read_text())
 
 
-@pytest.mark.parametrize("inner", [1, 2047, 2048, 2049, 5000])
+@pytest.mark.parametrize("inner", [1, 2047, 2048, 2049, 5000, 7020])
 def test_mod_matmul_matches_object_product(inner):
-    # Past 2048 the residue product no longer fits float64 and runs on int64.
+    # Past 2048 the residue product no longer fits one float64 pass and
+    # runs in split passes (7020: the inner dimension of scrambled E8's
+    # F_2 sketch).
     p = P0
     rng = np.random.default_rng(inner)
     a = p - 1 - rng.integers(0, 3, size=(2, inner))
     b = p - 1 - rng.integers(0, 3, size=(inner, 3))
     want = (a.astype(object) @ b.astype(object)) % p
-    assert ik._mod_matmul(a, b, p).tolist() == want.tolist()
+    with spied_products() as (passes, _):
+        got = ik._mod_matmul(a, b, p)
+    assert got.tolist() == want.tolist()
+    assert bool(passes) == (inner > 2048) and all(x < 2**53 for x in passes)
+
+
+def test_scrambled_e8_series_multiplies_int64_in_exact_float64_passes(monkeypatch):
+    # Every product the series makes of int64 operands, through
+    # exact_matmul or _mod_matmul, is a gather or runs float64 passes,
+    # each under 2^53: none reaches numpy's own int64 matmul.
+    a = nilradical(build_root_system(SimpleType.parse("E8")))
+    b = change_basis(a, random_unimodular(a.dim, 101))
+    unpassed = []
+
+    def watch(product, exempt):
+        def spy(x, y, *args):
+            before = len(passes)
+            out = product(x, y, *args)
+            if out.dtype == np.int64 and len(passes) == before and not exempt(x, y, *args):
+                unpassed.append((product.__name__, x.shape, y.shape))
+            return out
+        return spy
+
+    no_pass = lambda x, y, *args: ik._monomial_support(x) is not None or not y.any()
+    monkeypatch.setattr(ik, "exact_matmul", watch(ik.exact_matmul, no_pass))
+    monkeypatch.setattr(ik, "_mod_matmul", watch(  # below 2^53: one float64 floor pass
+        ik._mod_matmul, lambda x, y, p: x.shape[1] * (p - 1) ** 2 < 2**53))
+    monkeypatch.setattr(nilalg, "_definitional_series", lambda _: pytest.fail("fell back"))
+    with spied_products() as (passes, _):
+        lower_central_series(b)
+    assert passes and max(passes) < 2**53
+    assert unpassed == []
 
 
 # ------------------------------------------------------- modular elimination

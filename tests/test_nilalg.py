@@ -11,6 +11,7 @@ Oracle algebras are written out by hand from matrix models:
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -959,6 +960,22 @@ def test_change_basis_rejects_singular():
 def test_change_basis_rejects_wrong_shape():
     with pytest.raises(ValueError):
         change_basis(H3, oracle.identity(4))
+
+
+@pytest.mark.parametrize("x", [1.5, F(3, 2), np.float64(1.5)])
+def test_change_basis_rejects_integer_rows_that_are_not_integers(x):
+    # The Matrix path reads 3/2; integer rows must not truncate it to 1.
+    with pytest.raises(TypeError, match="floating point input is not allowed"):
+        change_basis(H3, [[x, 1, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_change_basis_reads_numpy_integers_as_python_ints():
+    # Held as numpy scalars, 2^61 would wrap around in the kernel's products.
+    rows = lambda x: [[x, 1, 0], [0, 1, 0], [0, 0, x]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert change_basis(H3, rows(np.int64(2**61))) == change_basis(
+            H3, oracle.from_rows(rows(2**61)))
 
 
 @settings(max_examples=15, deadline=None)
