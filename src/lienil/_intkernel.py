@@ -130,15 +130,14 @@ def _compacted(a: np.ndarray, bound: int) -> np.ndarray:
 
 def scale_rows(a: np.ndarray, f, a_max: int | None = None) -> np.ndarray:
     """a * f in compact dtype, for an integer array a whose largest
-    absolute entry is a_max (computed when not given) and an integer f,
-    or a column of integer factors, one per row.  The a-priori bound
-    a_max * max |f| picks the route: int64 below 2^62, where the product
-    cannot overflow, and Python ints otherwise."""
+    absolute entry is a_max (computed when not given) and an int f, or
+    an integer array of factors, one per row (int64 or Python ints).
+    The a-priori bound a_max * max |f| picks the route: int64 below
+    2^62, where the product cannot overflow, and Python ints otherwise."""
     a_max = max_abs(a) if a_max is None else a_max
-    f = np.asarray(f, dtype=object)
-    bound = max(a_max, 1) * max_abs(f.reshape(-1))  # also bounds f, which int64 must hold
-    if bound < _INT64_SAFE:
-        return _as_int64(a) * f.astype(np.int64)
+    bound = max(a_max, 1) * (abs(f) if isinstance(f, int) else max_abs(f.reshape(-1)))
+    if bound < _INT64_SAFE:  # so f fits int64 too
+        return _as_int64(a) * np.asarray(f, dtype=np.int64)
     return _compacted(_as_object(a) * f, bound)
 
 

@@ -24,6 +24,7 @@ AssertionError.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,10 +129,8 @@ class JacobiReport:
     triples_checked: int
 
 
-# Cap on the float64 entries of one block's products in verify_jacobi
-# (a block of one x may exceed it), and on one batch of Jacobiators.
-_BLOCK_ENTRIES = 2**20
-_BATCH_ENTRIES = 2**15
+# Most float64 entries of P over every pair that verify_jacobi makes in one product.
+_ENTRIES = 2**20
 
 
 def jacobi_primes(a: NilpotentAlgebra) -> tuple[int, ...]:
@@ -152,10 +151,7 @@ def verify_jacobi(a: NilpotentAlgebra) -> JacobiReport:
     so |J| <= 3 * n * tmax^2.  J is alternating in x, y, z, and only
     sorted triples x < y < z are computed and reported.  Over the pairs
     a < b let P[ab,c,r] = sum_m T[a,b,m] T[m,c,r]; by antisymmetry
-
-        J[x,y,z] = P[xy,z] - P[xz,y] + P[yz,x],
-
-    so one product of the pair rows of T against T gives all three terms.
+    J[x,y,z] = P[xy,z] - P[xz,y] + P[yz,x].
 
     The check is exact, not probabilistic.  J is computed modulo each
     prime p of jacobi_primes(a), whose product exceeds 3 * n * tmax^2,
@@ -168,13 +164,9 @@ def verify_jacobi(a: NilpotentAlgebra) -> JacobiReport:
     correctly rounded quotient is off by at most 2^-21 < 1 / p, which
     cannot carry a quotient that is not an integer onto one.
 
-    The work goes in blocks of consecutive x: the pair rows (x, .) of
-    the block against every column (c, r) with c >= x0 give the first
-    two terms, and the pair rows (y, z), y > x0, against the block's
-    columns give the third (a slice of the first product when one block
-    covers every x).  A block's products hold at most _BLOCK_ENTRIES
-    float64 entries, or those of a single x (under 1.5 n^3), so no n^4
-    array is allocated.
+    P over every pair is one product when it has at most _ENTRIES
+    entries.  Otherwise each x makes P[xb,c], b, c > x, in one product,
+    freed before the next x's, and P[yz,x], y > x, batch by batch.
 
     triples_checked counts the sorted triples containing a pair with a
     nonzero bracket: only those can fail.
@@ -182,20 +174,19 @@ def verify_jacobi(a: NilpotentAlgebra) -> JacobiReport:
     n = a.dim
     if 2 * n * (ik.PRIMES[0] - 1) ** 2 >= 2**53:  # the bound above, for every prime
         raise ValueError(f"the Jacobi check is exact only up to dim 1024, not {n}")
-    primes = jacobi_primes(a)
     t, _, _ = a.int_tensor()
-    pairs = np.triu_indices(n, 1)  # the pairs a < b, lexicographic
-    # first[x]: rank of the first sorted triple (x, ., .) in lexicographic order
-    first = np.concatenate(([0], np.cumsum([math.comb(n - 1 - x, 2) for x in range(n)])))
-    flagged = np.zeros(first[-1], dtype=bool)
+    pa, pb = np.triu_indices(n, 1)  # the pairs a < b, lexicographic
+    flagged = np.zeros((n, pa.size), dtype=bool)  # J[x, pa[k], pb[k]] != 0
     r = np.empty(t.shape)
-    for p in primes:
-        r[...] = np.remainder(t, p)
-        for x0, x1 in _blocks(n):
-            ranks = np.arange(first[x0], first[x1])
-            flagged[ranks] |= _block_flags(r, p, pairs, x0, x1, *_unrank(n, first, ranks))
-    x, q = _unrank(n, first, np.flatnonzero(flagged))
-    violations = tuple(zip(x.tolist(), pairs[0][q].tolist(), pairs[1][q].tolist()))
+    for p in jacobi_primes(a):
+        np.remainder(t, p, out=r, casting="unsafe")
+        if pa.size * n * n <= _ENTRIES:
+            _flag_all(r, p, pa, pb, flagged)
+        else:
+            for x in range(n - 2):
+                _flag_one_x(r, p, pa, pb, x, flagged)
+    x, k = np.nonzero(flagged)
+    violations = tuple(zip(x.tolist(), pa[k].tolist(), pb[k].tolist()))
 
     edge = np.zeros((n, n), dtype=np.int64)
     i, j = a.bracket_pairs()
@@ -205,66 +196,35 @@ def verify_jacobi(a: NilpotentAlgebra) -> JacobiReport:
     return JacobiReport(not violations, violations, math.comb(n, 3) - untouched)
 
 
-def _pair_start(n: int, x):
-    """Index of the first pair (x, .) among the pairs a < b in
-    lexicographic order (x may be an array)."""
-    return x * n - x * (x + 1) // 2
+def _flag_all(r: np.ndarray, p: int, pa: np.ndarray, pb: np.ndarray, flagged: np.ndarray) -> None:
+    """Flag every sorted triple whose Jacobiator p does not divide; r is T mod p."""
+    n = len(r)
+    pair = np.zeros((n, n), dtype=np.int64)
+    pair[pa, pb] = np.arange(pa.size)
+    x, k = np.nonzero(np.arange(n)[:, None] < pa)  # the triples (x, pa[k], pb[k])
+    prod = (r[pa, pb] @ r.reshape(n, -1)).reshape(-1, n)  # row k * n + c: P[k, c]
+    flagged[x, k] |= _fails(p, prod, pair[x, pa[k]] * n + pb[k], pair[x, pb[k]] * n + pa[k],
+                            lambda s: prod[k[s] * n + x[s]])
 
 
-def _unrank(n: int, first: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, index of the pair (y, z)) of the sorted triples of these ranks."""
-    x = np.searchsorted(first, ranks, side="right") - 1
-    return x, ranks - first[x] + _pair_start(n, x + 1)
+def _flag_one_x(r: np.ndarray, p: int, pa: np.ndarray, pb: np.ndarray, x: int,
+                flagged: np.ndarray) -> None:
+    """Flag the sorted triples (x, y, z) whose Jacobiator p does not divide."""
+    n, m = len(r), len(r) - 1 - x
+    k0 = np.searchsorted(pa, x, side="right")  # the pairs (y, z), y > x
+    y, z = pa[k0:] - x - 1, pb[k0:] - x - 1
+    prod = (r[x, x + 1:] @ r[:, x + 1:].reshape(n, -1)).reshape(-1, n)  # P[x(x+1+b), x+1+c]
+    flagged[x, k0:] |= _fails(p, prod, y * m + z, z * m + y,
+                              lambda s: r[pa[k0:][s], pb[k0:][s]] @ r[:, x])
 
 
-def _blocks(n: int):
-    """Consecutive ranges [x0, x1) covering range(n), each as long as
-    the float64 entries of its products fit _BLOCK_ENTRIES, and at
-    least one x."""
-    def entries(x0: int, x1: int) -> int:  # of the products _block_flags makes
-        third = 0 if (x0, x1) == (0, n) else (_pair_start(n, n) - _pair_start(n, x0 + 1)) * (x1 - x0)
-        return ((_pair_start(n, x1) - _pair_start(n, x0)) * (n - x0) + third) * n
-
-    x0 = 0
-    while x0 < n:
-        x1 = x0 + 1
-        while x1 < n and entries(x0, x1 + 1) <= _BLOCK_ENTRIES:
-            x1 += 1
-        yield x0, x1
-        x0 = x1
-
-
-def _block_flags(r: np.ndarray, p: int, pairs: tuple[np.ndarray, np.ndarray],
-                 x0: int, x1: int, x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Is J[x,y,z,:] nonzero mod p, for the sorted triples (x, pairs[q])
-    with x in [x0, x1)?  r is the structure tensor reduced mod p."""
-    n = r.shape[0]
-    pa, pb = pairs
-    y, z = pa[q], pb[q]
-    lo, hi = _pair_start(n, x0), _pair_start(n, x1)
-
-    def product(r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """P over the pairs of rows [r0, r1) and columns [c0, c1), one
-        coordinate r per row: row (pair - r0) * (c1 - c0) + c - c0."""
-        return (r[pa[r0:r1], pb[r0:r1]] @ r[:, c0:c1].reshape(n, -1)).reshape(-1, n)
-
-    w1 = n - x0
-    if (x0, x1) == (0, n):  # the third term's P is a slice of the first's
-        p1 = product(lo, hi, x0, n)
-        p2, lo2, w2 = p1, lo, w1
-    else:  # P[(y, z), c in [x0, x1)], y > x0, made first so its row copy
-        # is freed before the larger P[(x, .), c >= x0]
-        lo2, w2 = _pair_start(n, x0 + 1), x1 - x0
-        p2 = product(lo2, len(pa), x0, x1)
-        p1 = product(lo, hi, x0, n)
-    sx = _pair_start(n, x) - x - 1 - lo  # row of the pair (x, b) is sx + b
-    i1 = (sx + y) * w1 + z - x0
-    i2 = (sx + z) * w1 + y - x0
-    i3 = (q - lo2) * w2 + x - x0
-    out = np.empty(q.size, dtype=bool)
-    batch = max(1, _BATCH_ENTRIES // n)
-    for b in range(0, q.size, batch):
-        s = slice(b, b + batch)
-        quot = (p1[i1[s]] - p1[i2[s]] + p2[i3[s]]) / p
-        out[s] = (np.floor(quot) != quot).any(axis=1)
+def _fails(p: int, prod: np.ndarray, first: np.ndarray, second: np.ndarray,
+           third: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """Is prod[first] - prod[second] + third(s) nonzero mod p, slice s by slice?"""
+    out = np.empty(first.size, dtype=bool)
+    step = max(1, _ENTRIES // (16 * prod.shape[1]))  # four temporaries, _ENTRIES / 4 in all
+    for b in range(0, first.size, step):
+        s = slice(b, b + step)
+        j = (prod[first[s]] - prod[second[s]] + third(s)) / p
+        out[s] = (np.floor(j) != j).any(axis=1)
     return out

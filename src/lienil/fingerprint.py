@@ -101,8 +101,8 @@ def simple_dimension(t: SimpleType) -> int:
         raise ValueError(f"no simple algebra of type {t}") from None
 
 
-def bc_discriminator(a: NilpotentAlgebra, n: int, g: GradedAlgebra | None = None) -> str:
-    """"B" or "C" for an algebra already known to be one of the two.
+def bc_discriminator(a: NilpotentAlgebra | GradedAlgebra, n: int) -> str:
+    """"B" or "C" for an algebra (or its graded algebra) known to be one of the two.
 
     Uses the pairing gr^2 x gr^{2n-3} -> gr^{2n-1}: both families have
     source piece dimensions (n-1, 2) and target dimension 1 there, but
@@ -111,8 +111,7 @@ def bc_discriminator(a: NilpotentAlgebra, n: int, g: GradedAlgebra | None = None
     """
     if n < 3:
         raise ValueError("B/C discrimination needs rank at least 3")
-    if g is None:
-        g = graded(a)
+    g = _graded_of(a, None)
     if g.dims[2 * n - 4:2 * n - 1:2] != (2, 1):  # dim gr^{2n-3}, dim gr^{2n-1}
         raise ValueError("graded dimensions do not match a B/C nilradical")
     p = graded_pairing(g, 2, 2 * n - 3)
@@ -164,5 +163,5 @@ def identify(
         )
     canonical = candidates[0]
     if len(candidates) == 2 and rank >= 3:  # B_n and C_n
-        canonical = SimpleType(bc_discriminator(g.algebra, rank, g), rank)
+        canonical = SimpleType(bc_discriminator(g, rank), rank)
     return Identification(canonical, _aliases(canonical))

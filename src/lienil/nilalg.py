@@ -324,7 +324,8 @@ class GradedAlgebra:
     def __init__(self, algebra: NilpotentAlgebra, filtration: Filtration,
                  pieces: tuple[Matrix | tuple[np.ndarray, int], ...]):
         self.algebra, self.filtration = algebra, filtration
-        self._scaled = tuple(p if isinstance(p, tuple) else ik.scaled_int(p) for p in pieces)
+        scaled = (p if isinstance(p, tuple) else ik.scaled_int(p) for p in pieces)
+        self._scaled = tuple((ik.compact(rows, ik.max_abs(rows)), s) for rows, s in scaled)
         self._contracted: dict = {}
         self._coordinates: dict = {}
 

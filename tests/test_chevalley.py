@@ -18,6 +18,7 @@ Root/Fraction construction that the integer tables replaced
 """
 
 import json
+import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -337,23 +338,34 @@ def test_verify_jacobi_matches_loop(a):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(random_tables(), lie_tables()), st.sampled_from([0, 200, 700]),
-       st.sampled_from([1, 20, 100]))
-def test_verify_jacobi_blocks_match_loop(a, block_entries, batch_entries):
-    # Budgets this small split dim <= 8 into blocks of one x or a few,
-    # and the Jacobiators into batches down to one triple.
-    with patch.object(chevalley, "_BLOCK_ENTRIES", block_entries), \
-            patch.object(chevalley, "_BATCH_ENTRIES", batch_entries):
-        note(f"blocks {list(chevalley._blocks(a.dim))}")
+@given(st.one_of(random_tables(), lie_tables()), st.sampled_from([0, 200, 2**11, 2**20]))
+def test_verify_jacobi_paths_match_loop(a, entries):
+    # At dim <= 8 P over every pair has at most 28 * 8^2 = 1792 entries:
+    # 2^11 and 2^20 take the whole-table path, 0 the one-x path, and 200
+    # the first up to dim 4 and the second from dim 5.  0, and 200 from
+    # dim 7, make batches of one pair; 2^11 splits dim 8's 56 triples
+    # into four batches.
+    n = a.dim
+    with patch.object(chevalley, "_ENTRIES", entries):
+        whole = n * (n - 1) // 2 * n * n <= entries
+        note(f"{'whole-table' if whole else 'one-x'} path, batches of "
+             f"{max(1, entries // (16 * n))}")
         assert verify_jacobi(a) == _jacobi_by_loop(a)
 
 
-def test_small_budget_splits_into_blocks():
-    with patch.object(chevalley, "_BLOCK_ENTRIES", 0):
-        assert list(chevalley._blocks(5)) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
-    with patch.object(chevalley, "_BLOCK_ENTRIES", 700):
-        assert len(list(chevalley._blocks(8))) > 1
-    assert list(chevalley._blocks(8)) == [(0, 8)]
+def test_scrambled_e7_check_peaks_below_four_tensors():
+    # Each x's product is freed before the next is made, so the one-x
+    # path on dim 63 peaks near three float64 tensors of n^3 entries.
+    a = change_basis(nil("E7"), random_unimodular(63, 101))
+    a.int_tensor()
+    tracemalloc.start()
+    try:
+        report = verify_jacobi(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak <= 4 * 63**3 * 8, peak
 
 
 @pytest.mark.parametrize("dim", [1, 2])

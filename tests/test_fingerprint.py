@@ -27,7 +27,7 @@ from lienil.fingerprint import (
     identify,
     simple_dimension,
 )
-from lienil.nilalg import NilpotentAlgebra, NotNilpotentError, change_basis
+from lienil.nilalg import GradedAlgebra, NilpotentAlgebra, NotNilpotentError, change_basis, graded
 from lienil.rootsys import SimpleType, all_types, build_root_system, degree_histogram
 
 F = Fraction
@@ -125,6 +125,17 @@ def test_bc_discriminator_matches_family():
         assert bc_discriminator(nilradical(build_root_system(SimpleType("C", n))), n) == "C"
 
 
+def test_bc_discriminator_takes_the_graded_algebra(monkeypatch):
+    # Given the graded algebra, it builds no series of its own.
+    for name, family in (("B4", "B"), ("C4", "C")):
+        a = change_basis(nil(name), random_unimodular(nil(name).dim, 3))
+        g = graded(a)
+        monkeypatch.setattr(fingerprint_module, "graded", lambda *_: pytest.fail("rebuilt"))
+        assert bc_discriminator(g, 4) == family
+        monkeypatch.undo()
+        assert bc_discriminator(a, 4) == family
+
+
 def test_bc_discriminator_rejects_small_rank():
     with pytest.raises(ValueError):
         bc_discriminator(nil("B2"), 2)
@@ -169,9 +180,10 @@ def test_identify_runs_bc_discriminator_only_for_b_and_c(monkeypatch):
     calls = []
     real = fingerprint_module.bc_discriminator
 
-    def counting(a, n, g=None):
+    def counting(a, n):
+        assert isinstance(a, GradedAlgebra)  # identify passes the graded algebra it built
         calls.append(n)
-        return real(a, n, g)
+        return real(a, n)
 
     monkeypatch.setattr(fingerprint_module, "bc_discriminator", counting)
     for tt in all_types(8):

@@ -414,6 +414,25 @@ def test_scale_rows_promotes_by_its_bound(rows, f):
     assert_compact(got)
 
 
+@pytest.mark.parametrize("f", [
+    2**31, -(2**32 - 1), 2**32,  # bounds 2^61, 2^62 - 2^30 and 2^62 against a_max = 2^30
+    np.array([[2**32 - 1], [1]]), np.array([[-2**32], [3]]),
+    np.array([[2**32 - 1], [1]], dtype=object), np.array([[2**32], [0]], dtype=object),
+    np.array([[2**70], [0]], dtype=object),
+], ids=lambda f: f"{type(f).__name__}-{getattr(f, 'dtype', '')}-{np.max(np.abs(f))}")
+def test_scale_rows_bounds_each_factor_kind_by_its_values(f, monkeypatch):
+    # A Python int is bounded by abs(f) and an array by its own largest
+    # entry; only a bound of 2^62 or more converts to Python ints.
+    a = np.array([[2**30, -1], [0, 1]], dtype=np.int64)
+    bound = 2**30 * max(abs(int(v)) for v in np.ravel(f))
+    want = (a.astype(object) * (f if isinstance(f, int) else f.astype(object))).tolist()
+    if bound < 2**62:
+        monkeypatch.setattr(ik, "_as_object", lambda _: pytest.fail("converted to Python ints"))
+    got = ik.scale_rows(a, f, 2**30)
+    assert got.tolist() == want
+    assert got.dtype == (np.int64 if max(abs(v) for v in np.ravel(want)) < 2**62 else object)
+
+
 # ------------------------------------------- rows with one nonzero entry
 
 monomial_values = st.one_of(

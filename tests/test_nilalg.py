@@ -560,6 +560,7 @@ def _fraction_series(a: NilpotentAlgebra) -> list[Matrix]:
 @example(NilpotentAlgebra(5, {(0, 1): ((2, 2**70), (3, 1)), (0, 2): ((4, 2**61 + 1),)}))
 @example(NilpotentAlgebra(5, {(0, 1): ((2, 2**61 + 3), (3, -1)), (0, 2): ((4, F(1, 2**62)),)}))
 @example(NilpotentAlgebra(4, {(0, 1): ((2, 2**62), (3, 2**62 - 1))}))
+@example(NilpotentAlgebra(5, {(0, 1): ((2, -2**65), (3, -1)), (0, 2): ((3, -1), (4, -2**65))}))
 def test_graded_pieces_are_compact_and_match_fraction_series(a):
     # Constants up to 2^70: every term's rows and every piece are int64
     # exactly when their entries are below 2^62.
@@ -579,6 +580,22 @@ def test_graded_pieces_are_compact_and_match_fraction_series(a):
     for arr in [t.nums for t in f.rrefs] + pieces:
         big = max((abs(int(x)) for x in arr.flat), default=0) >= 2**62
         assert arr.dtype == (object if big else np.int64)
+
+
+@pytest.mark.parametrize("a", [
+    NilpotentAlgebra(5, {(0, 1): ((2, -2**65), (3, -1)), (0, 2): ((3, -1), (4, -2**65))}),
+    NilpotentAlgebra(4, {(0, 1): ((2, F(1, 3)), (3, 2**70))}),
+], ids=["row-past-2^62", "piece-past-2^62"])
+def test_pieces_given_as_matrices_are_compact(a):
+    # Rational pieces come in as Python ints (scaled_int); each is
+    # compacted by its own values, like graded()'s integer pieces.
+    g = graded(a)
+    h = GradedAlgebra(a, g.filtration, g.pieces)
+    assert h.pieces == g.pieces
+    for d in range(1, len(g.dims) + 1):
+        for rows, s in (g.scaled_piece(d), h.scaled_piece(d)):
+            big = max((abs(int(x)) for x in rows.flat), default=0) >= 2**62
+            assert rows.dtype == (object if big else np.int64), (d, rows)
 
 
 @pytest.mark.parametrize("t", all_types(4), ids=str)

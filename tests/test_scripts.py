@@ -17,7 +17,8 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_round_trip_demo():
-    # E6 (dim 36) is large enough that its Jacobi check spans several blocks.
+    # E6 (dim 36) is the largest type whose Jacobi check makes P over
+    # every pair in one product; B3 is small.
     for name in ("B3", "E6"):
         proc = run_script("round_trip_demo.py", name, "--seed", "1")
         assert proc.returncode == 0, proc.stderr
