@@ -17,13 +17,14 @@ over one denominator, in compact dtype.  rref_from_rows is the
 every-row reduction: the pairing kernels and exactlin's kernel are one
 null_space each, and scaled_inverse (change_basis, exactlin's inverse,
 and a graded piece's coset coordinates when they are not diagonal)
-reduces [m | sI].  rref_of_base_rows, the base-row one, reduces each
-certified series term, from F_3 on in the previous term's pivot
-coordinates (ScaledRref.lift).  Graded pairings reduce nothing: they
-read coordinates off the series' canonical rows.  Rows with at most
-one nonzero entry each span exactly the unit vectors at their columns,
-and reduce to those at once, with no prime; a residual against unit
-rows only zeroes columns.  In a Chevalley-basis table every series
+reduces [m | sI] unless float64 finds an integer inverse (below).
+rref_of_base_rows, the base-row one, reduces each certified series
+term, from F_3 on in the previous term's pivot coordinates
+(ScaledRref.lift).  Graded pairings reduce nothing: they read
+coordinates off the series' canonical rows.  Rows with at most one
+nonzero entry each span exactly the unit vectors at their columns, and
+reduce to those at once, with no prime; a residual against unit rows
+only zeroes columns.  In a Chevalley-basis table every series
 term and pairing kernel takes these routes.  Any other reduction runs
 modulo primes from PRIMES, with CRT and rational reconstruction under
 an exact certificate (_certified_rref).
@@ -35,6 +36,23 @@ rest (_sketch).  The base rows are input rows plus exact integer
 combinations of them, and every candidate passes an exact certificate,
 so an unlucky sketch, like an unlucky prime, only costs a retry with
 the next prime and its own sketch, or the definitional series.
+
+Two exact results are certified instead of recomputed:
+
+* The inverse of an int64 matrix m (_checked_inverse): np.linalg.inv,
+  rounded to an integer matrix v, is adopted only if exact_matmul(m, v)
+  is the identity, since M V = I proves V = M^-1.  A float64 guess
+  counts only through that exact product, so rounding can cost the
+  fallback to the certified reduction, never a wrong inverse.  A
+  random_unimodular scramble takes this route with no prime.
+* A span test (ScaledRref.holds): whether every row has zero residual.
+  An a-priori bound B on the residual picks the route: below 2^62 the
+  residual itself, in int64; up to the product of PRIMES, the residual
+  modulo each of primes_exceeding(B), one float64 pass per prime, as an
+  integer of absolute value at most B that vanishes modulo a product
+  larger than B is zero (Chinese remainder theorem); past that supply,
+  the residual in Python ints.  A product handed over as its two
+  factors is reduced factor by factor, never formed in Python ints.
 
 Structure constants arrive as nilalg's integer tensor, files included;
 Fractions appear only where scaled_int reads rational matrices and
@@ -416,9 +434,9 @@ def _certified_rref(rows: np.ndarray, ambient: int, every_row: bool) -> "ScaledR
                 continue
         cand = _reconstruct(acc, m, piv, ambient)
         if cand is not None:
-            if not cand.residuals(rows if every_row else base).any():
+            if cand.holds(rows if every_row else base):
                 return cand
-            if every_row and not cand.residuals(base).any():
+            if every_row and cand.holds(base):
                 base = None  # r fell short of the rank: the base prime or sketch was unlucky
     raise PrimesExhausted(f"row reduction needs more than the {len(PRIMES)} residue primes")
 
@@ -467,8 +485,10 @@ class ScaledRref:
         """The rows are the unit vectors at the pivots (den is then 1)."""
         return np.count_nonzero(self.nums) == self.dim
 
-    def residuals(self, mat: np.ndarray) -> np.ndarray:
-        """den * (mat - projection of mat onto the span), row by row.
+    def residuals(self, mat: np.ndarray, mat_max: int | None = None) -> np.ndarray:
+        """den * (mat - projection of mat onto the span), row by row, for
+        an integer mat whose largest absolute entry is mat_max (computed
+        when not given).
 
         A row of mat lies in the span iff its residual row is zero; the
         scaling by den keeps everything integral.  On unit rows (no rows
@@ -481,9 +501,53 @@ class ScaledRref:
             out = mat.copy()
             out[:, self.pivots] = 0
             return out
-        mat_max = max_abs(mat)
+        mat_max = max_abs(mat) if mat_max is None else mat_max
         return (scale_rows(mat, self.den, mat_max)
                 - exact_matmul(mat[:, self.pivots], self.nums, mat_max, self.nmax))
+
+    def holds(self, a: np.ndarray, b: np.ndarray | None = None, a_max: int | None = None,
+              b_max: int | None = None, b_float: np.ndarray | None = None) -> bool:
+        """Whether every row of mat has zero residual (residuals), mat = a
+        or a @ b read as rows of length ambient (a_max, b_max and b_float
+        as for exact_matmul).  The bound B = max|mat| * (den + dim * nmax)
+        picks the route (module docstring): residuals(mat) below 2^62 and
+        on unit rows, else the residual modulo each of
+        primes_exceeding(B), with a product too large for int64 reduced
+        factor by factor (inner * a_max * b_max bounds max|mat|), and
+        residuals(mat) again past the supply of PRIMES."""
+        unit = self.is_coordinate
+        if b is not None:
+            a_max = max_abs(a) if a_max is None else a_max
+            b_max = max_abs(b) if b_max is None else b_max
+            if unit or a.shape[1] * a_max * b_max < _INT64_SAFE:
+                a = exact_matmul(a, b, a_max, b_max, b_float).reshape(-1, self.ambient)
+                b = a_max = None
+        if unit:
+            return not self.residuals(a).any()
+        if b is not None:
+            mat_max = a.shape[1] * a_max * b_max
+        else:
+            mat_max = max_abs(a) if a_max is None else a_max
+        bound = mat_max * (self.den + self.dim * self.nmax)
+        if bound >= _INT64_SAFE:
+            try:
+                primes = primes_exceeding(bound)
+            except PrimesExhausted:
+                pass
+            else:
+                return all(self._holds_mod(a, b, p) for p in primes)
+        if b is not None:
+            a = exact_matmul(a, b, a_max, b_max).reshape(-1, self.ambient)
+            mat_max = max_abs(a)
+        return not self.residuals(a, mat_max).any()
+
+    def _holds_mod(self, a: np.ndarray, b: np.ndarray | None, p: int) -> bool:
+        """Whether residuals(mat) vanishes mod p, mat = a or a @ b as in holds."""
+        x = _residues(a, p)
+        if b is not None:
+            x = _mod_matmul(x, _residues(b, p), p).reshape(-1, self.ambient)
+        return np.array_equal(x * (self.den % p) % p,
+                              _mod_matmul(x[:, self.pivots], _residues(self.nums, p), p))
 
     def lift(self, coords: "ScaledRref") -> "ScaledRref":
         """The subspace whose coordinates against these rows span coords
@@ -559,11 +623,13 @@ def scaled_inverse(mi: np.ndarray, s: int) -> tuple[np.ndarray, int]:
     """(V, d) with V / d the inverse of the square matrix mi / s, for
     an integer matrix mi, V in compact dtype.
 
-    [mi | s * I] reduces to [I | (mi / s)^-1]: V is the right half of
-    the reduced rows over their common denominator d.  The rank is
-    always n, so mi is singular iff some pivot lies past column n.  A
-    diagonal mi needs no reduction: its reduced row i is e_i beside
-    s / mi[i, i] in lowest terms.
+    A diagonal mi needs no reduction: its reduced row i is e_i beside
+    s / mi[i, i] in lowest terms.  An int64 mi whose inverse float64
+    finds as an integer matrix v (_checked_inverse) gives (s * v, 1).
+    Otherwise [mi | s * I] reduces to [I | (mi / s)^-1]: V is the right
+    half of the reduced rows over their common denominator d.  The rank
+    is always n, so mi is singular iff some pivot lies past column n.
+    Every route gives the same canonical (V, d).
     """
     n = mi.shape[0]
     z = np.diagonal(mi).tolist()
@@ -576,7 +642,24 @@ def scaled_inverse(mi: np.ndarray, s: int) -> tuple[np.ndarray, int]:
         v = np.zeros((n, n), dtype=object)
         v[range(n), range(n)] = [s // gx * (d // den) for gx, den in zip(g, dens)]
         return compact(v, max_abs(v)), d
+    if mi.dtype == np.int64:
+        v = _checked_inverse(mi)
+        if v is not None:
+            return scale_rows(v, s), 1
     red = rref_from_rows(np.hstack([mi, s * np.eye(n, dtype=object)]), 2 * n)
     if red.pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return _compacted(red.nums[:, n:], red.nmax), red.den
+
+
+def _checked_inverse(mi: np.ndarray) -> np.ndarray | None:
+    """float64's inverse of the int64 matrix mi rounded to integers, in
+    int64, if exact_matmul proves it (module docstring), else None."""
+    try:
+        f = np.rint(np.linalg.inv(mi.astype(np.float64)))
+    except np.linalg.LinAlgError:  # singular in float64
+        return None
+    if not (np.abs(f) < _INT64_SAFE).all():  # also inf and nan
+        return None
+    v = f.astype(np.int64)
+    return v if np.array_equal(exact_matmul(mi, v), np.eye(len(v), dtype=np.int64)) else None

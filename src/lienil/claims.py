@@ -93,7 +93,7 @@ def _kernel_has_unit_coset(p: BilinearPairing, g: GradedAlgebra, root_index: int
         return False
     one_hot = np.zeros((1, rows.shape[0]), dtype=object)
     one_hot[0, hit[0]] = 1
-    return not right_null_space(p).residuals(one_hot).any()
+    return right_null_space(p).holds(one_hot)
 
 
 def run_claims(max_rank: int) -> list[ClaimResult]:

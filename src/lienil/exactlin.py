@@ -1,10 +1,12 @@
 """Exact rational linear algebra on small dense matrices, and seeded
 unimodular scrambles.
 
-Matrices and subspaces hold ``fractions.Fraction`` entries: no floats,
-no tolerances.  Subspaces are represented by their reduced row echelon
-basis, which is a canonical form, so two subspaces are equal iff their
-``Subspace`` values are equal.  Kernels and inverses run on the integer
+Matrices and subspaces hold ``fractions.Fraction`` entries: no
+tolerances, and a float guess (the integer kernel's float64 inverse)
+counts only once an exact integer product has proved it.  Subspaces
+are represented by their reduced row echelon basis, which is a
+canonical form, so two subspaces are equal iff their ``Subspace``
+values are equal.  Kernels and inverses run on the integer
 engine ``_intkernel.ScaledRref``: rows are scaled to integers, reduced
 exactly, and read back as rationals.  random_unimodular gives integer
 rows, which change_basis takes as they are.

@@ -261,8 +261,7 @@ def _direct_series(a: NilpotentAlgebra) -> Filtration | None:
         rows = ik.exact_matmul(cur.nums, tg[:, :, cur.pivots].reshape(n, -1), cur.nmax, tmax)
         coords = ik.rref_of_base_rows(rows.reshape(-1, d), d)
         if coords.dim == d:
-            brackets = ik.exact_matmul(cur.nums, tg.reshape(n, -1), cur.nmax, tmax)
-            if cur.residuals(brackets.reshape(-1, n)).any():
+            if not cur.holds(cur.nums, tg.reshape(n, -1), cur.nmax, tmax):
                 return None
             raise NotNilpotentError("lower central series stalls before zero")
         terms.append(cur.lift(coords))
@@ -272,8 +271,7 @@ def _direct_series(a: NilpotentAlgebra) -> Filtration | None:
     flat_f = flat.astype(np.float64) if flat.dtype == np.int64 else None
     for cur, nxt in zip(terms, terms[1:]):
         p, _ = _complement(cur, nxt)
-        rows = ik.exact_matmul(p, flat, ik.max_abs(p), tmax, flat_f)
-        if nxt.residuals(rows.reshape(p.shape[0] * n, n)).any():
+        if not nxt.holds(p, flat, ik.max_abs(p), tmax, flat_f):
             return None
     return Filtration(tuple(terms))
 
@@ -451,7 +449,7 @@ def _coset_coordinates(g: GradedAlgebra, k: int) -> tuple:
         inside, nxt = (rrefs[d] if d < len(rrefs) else ik.ScaledRref(n) for d in (k - 1, k))
         drop = set(nxt.pivots)
         q = np.array([p for p in inside.pivots if p not in drop], dtype=np.intp)
-        if inside.residuals(reps).any():
+        if not inside.holds(reps):
             raise ValueError(f"graded piece {k} does not lie in filtration term {k}")
         basis_error = ValueError(f"graded piece {k} is not a basis modulo filtration term {k + 1}")
         if reps.shape[0] != q.size:
@@ -500,9 +498,10 @@ def change_basis(a: NilpotentAlgebra, m: Matrix | list[list[int]]) -> NilpotentA
         if not all(isinstance(x, (int, np.integer)) for x in mi.flat):
             raise TypeError(_FLOAT_INPUT)  # the integer kernel would truncate it
         mi = np.frompyfunc(int, 1, 1)(mi)  # numpy integers would wrap around
+    mmax = ik.max_abs(mi)
+    mi = ik.compact(mi, mmax)  # once, for the inverse and both products
     vi, vs = ik.scaled_inverse(mi, ms)  # raises ValueError when singular
     t, cs, tmax = a.int_tensor()
-    mmax = ik.max_abs(mi)
 
     # With M = mi / ms and M^-1 = vi / vs, the new constants are
     # W[i, j, k] / (cs * ms^2 * vs), W = sum Mi[i, a] Mi[j, b] T[a, b, c] Vi[c, k],

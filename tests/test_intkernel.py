@@ -25,7 +25,8 @@ from lienil import _intkernel as ik
 from lienil import nilalg
 from lienil.chevalley import nilradical
 from lienil.exactlin import random_unimodular
-from lienil.nilalg import change_basis, lower_central_series
+from lienil.fingerprint import identify
+from lienil.nilalg import change_basis, graded, lower_central_series
 from lienil.rootsys import SimpleType, build_root_system
 
 P0, P1 = ik.PRIMES[0], ik.PRIMES[1]
@@ -815,3 +816,165 @@ def test_reconstruct_recovers_rows_near_wang_bound(primes):
     assert [[int(x) for x in num] for num in got.nums] == [[x * (d // den) for x in num]
                                                           for num, den in want]
     assert_compact(got.nums)
+
+
+# ------------------------------------ certificates: inverses and span tests
+
+
+def inverse_or_singular(mi: np.ndarray, s: int):
+    try:
+        v, d = ik.scaled_inverse(mi, s)
+    except ValueError:
+        return "singular"
+    return v.tolist(), d, v.dtype
+
+
+@st.composite
+def inverse_cases(draw):
+    """(kind, integer matrix, s): random_unimodular scrambles, products
+    of two with determinant +-2 or +-3, singular matrices, determinant-1
+    matrices whose float64 inverse is off, and unimodular shears with
+    entries near 2^53 or past 2^62."""
+    kind = draw(st.sampled_from(["unimodular", "det23", "singular", "ill", "huge"]))
+    n = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 10**6))
+    u = np.array(random_unimodular(n, seed), dtype=object)
+    m = u
+    if kind == "det23":
+        diag = np.eye(n, dtype=object)
+        diag[-1, -1] = draw(st.sampled_from([-3, -2, 2, 3]))
+        m = u @ diag @ np.array(random_unimodular(n, seed + 1), dtype=object)
+    elif kind == "singular":
+        c = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        m = u.copy()
+        m[-1] = np.array(c, dtype=object) @ u[:-1]
+    elif kind == "ill":  # [[x, x + 1], [x - 1, x]] has determinant 1
+        x = 2**draw(st.integers(20, 40)) + draw(st.integers(0, 7))
+        block = np.eye(n, dtype=object)
+        block[:2, :2] = [[x, x + 1], [x - 1, x]]
+        m = block @ u
+    elif kind == "huge":
+        shear = np.eye(n, dtype=object)
+        shear[0, 1] = draw(st.sampled_from([2**53 - 1, 2**53 + 1, 2**62 - 1, 2**62 + 1, 2**70 + 3]))
+        m = shear @ u if draw(st.booleans()) else shear[::-1]
+    return kind, m, draw(st.sampled_from([1, 2, 6, 2**61 + 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inverse_cases())
+@example(("huge", np.array([[2**53 + 1, 1], [1, 0]], dtype=object), 1))  # float64 rounds 2^53 + 1
+@example(("singular", np.array([[1, 2], [2, 4]], dtype=object), 3))
+def test_checked_inverse_matches_the_reduction(case):
+    # The float64 guess, adopted only when mi @ v = I exactly, gives the
+    # reduction's (V, d), values and dtype, or the same singular verdict.
+    kind, m, s = case
+    mi = ik.compact(m, ik.max_abs(m))
+    calls, echelon = [], ik._echelon_mod
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ik, "_echelon_mod", lambda x, p: calls.append(p) or echelon(x, p))
+        got = inverse_or_singular(mi, s)
+    if kind == "unimodular":
+        assert not calls  # the float64 route inverted it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ik, "_checked_inverse", lambda mi: None)
+        assert got == inverse_or_singular(mi, s)
+
+
+def test_change_basis_inverts_scrambled_e8_with_no_prime(monkeypatch):
+    a = nilradical(build_root_system(SimpleType.parse("E8")))
+    m = random_unimodular(a.dim, 101)
+    monkeypatch.setattr(ik, "_echelon_mod", no_prime)
+    change_basis(a, m)
+
+
+@contextlib.contextmanager
+def spied_modular_holds():
+    """Yields the primes of every modular span test, filled as it runs."""
+    primes, holds_mod = [], ik.ScaledRref._holds_mod
+
+    def spy(self, a, b, p):
+        primes.append(p)
+        return holds_mod(self, a, b, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ik.ScaledRref, "_holds_mod", spy)
+        yield primes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 7), st.sampled_from([-2, -1, 0, 1, 2]), st.data())
+def test_holds_matches_residuals_near_int64(x_bits, k, offset, data):
+    # One stored row (1, x) and rows (u, u * x + delta), whose residual is
+    # (0, delta): the bound max|mat| * (1 + x) lies just below or above
+    # 2^62.  Below, the int64 residual decides; above, residues do.
+    x = 2**x_bits + k
+    u = max(1, 2**62 // (x * (x + 1)) + offset)
+    deltas = data.draw(st.lists(st.sampled_from([0, 0, 1, -1, P0, P0 * P1]), min_size=1, max_size=3))
+    mat = np.array([[u, u * x + delta] for delta in deltas], dtype=object)
+    mat = ik.compact(mat, ik.max_abs(mat))
+    e = ik.rref_from_rows(np.array([[1, x]], dtype=object), 2)
+    with spied_modular_holds() as primes:
+        got = e.holds(mat)
+    assert got == (not e.residuals(mat).any()) == (not any(deltas))
+    assert bool(primes) == (ik.max_abs(mat) * (1 + x) >= 2**62)
+    assert e.holds(mat, np.eye(2, dtype=np.int64)) == got  # as a product's factors
+
+
+@pytest.mark.parametrize("factored", [False, True])
+def test_holds_sees_a_residual_that_vanishes_modulo_two_primes(factored):
+    # The row (2^30, 2^70 + P0 * P1) leaves the span of (1, 2^40) by the
+    # residual P0 * P1: zero modulo the first two primes, not over Q.
+    e = ik.rref_from_rows(np.array([[1, 2**40]], dtype=object), 2)
+    for delta, want in [(0, True), (P0 * P1, False)]:
+        mat = np.array([[2**30, 2**70 + delta]], dtype=object)
+        with spied_modular_holds() as primes:
+            if factored:  # [1, 1] @ [[2^30, 2^70], [0, delta]], never formed
+                got = e.holds(np.ones((1, 2), dtype=np.int64),
+                              np.array([[2**30, 2**70], [0, delta]], dtype=object))
+            else:
+                got = e.holds(mat)
+        assert got is want
+        assert len(primes) > 2
+    assert e._holds_mod(mat, None, P0) and e._holds_mod(mat, None, P1)
+
+
+def test_holds_past_the_supply_of_primes_is_exact(monkeypatch):
+    e = ik.rref_from_rows(np.array([[1, 2**40]], dtype=object), 2)
+    monkeypatch.setattr(ik, "PRIMES", ik.PRIMES[:2])
+    with spied_modular_holds() as primes:
+        assert e.holds(np.array([[2**30, 2**70]], dtype=object))
+        assert not e.holds(np.array([[2**30, 2**70 + P0 * P1]], dtype=object))
+    assert not primes
+
+
+def test_obfuscated_c4_span_tests_make_no_python_int_product(monkeypatch):
+    # C4 scrambled three times, as the CLI benchmark's files are: its
+    # series terms pass 2^62, yet every span test, the series
+    # certificate's included, runs in int64 or modulo primes.
+    a = nilradical(build_root_system(SimpleType.parse("C4")))
+    for seed in (7, 8, 9):
+        a = change_basis(a, random_unimodular(a.dim, seed))
+    depth, boxed = [0], []
+    holds, matmul, residuals = ik.ScaledRref.holds, ik.exact_matmul, ik.ScaledRref.residuals
+
+    def spy_holds(self, *args):
+        depth[0] += 1
+        try:
+            return holds(self, *args)
+        finally:
+            depth[0] -= 1
+
+    def watch(product):
+        def spy(*args, **kwargs):
+            out = product(*args, **kwargs)
+            if depth[0] and out.dtype == object:
+                boxed.append((product.__name__, out.shape))
+            return out
+        return spy
+
+    monkeypatch.setattr(ik.ScaledRref, "holds", spy_holds)
+    monkeypatch.setattr(ik.ScaledRref, "residuals", watch(residuals))
+    monkeypatch.setattr(ik, "exact_matmul", watch(matmul))
+    with spied_modular_holds() as primes:
+        assert identify(graded(a)).canonical == SimpleType("C", 4)
+    assert primes and boxed == []
