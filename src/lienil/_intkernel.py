@@ -34,8 +34,9 @@ eliminations (_echelon_mod): the first `cols` rows, then, if rows
 remain and the rank is below `cols`, one fixed integer sketch of the
 rest (_sketch).  The base rows are input rows plus exact integer
 combinations of them, and every candidate passes an exact certificate,
-so an unlucky sketch, like an unlucky prime, only costs a retry with
-the next prime and its own sketch, or the definitional series.
+so an unlucky sketch, like an unlucky prime, only costs a new attempt
+from the next prime, or the definitional series.  Candidates are
+reconstructed at 1, 2, 4, 8, ... primes and at the last (_certified_rref).
 
 Two exact results are certified instead of recomputed:
 
@@ -140,12 +141,6 @@ def compact(a: np.ndarray, a_max: int) -> np.ndarray:
     return _as_int64(a) if a_max < _INT64_SAFE else _as_object(a)
 
 
-def _compacted(a: np.ndarray, bound: int) -> np.ndarray:
-    """a in compact dtype, given bound >= max |a|: at once when the bound
-    is below 2^62, from the actual largest entry otherwise."""
-    return _as_int64(a) if bound < _INT64_SAFE else compact(a, max_abs(a))
-
-
 def scale_rows(a: np.ndarray, f, a_max: int | None = None) -> np.ndarray:
     """a * f in compact dtype, for an integer array a whose largest
     absolute entry is a_max (computed when not given) and an int f, or
@@ -156,7 +151,8 @@ def scale_rows(a: np.ndarray, f, a_max: int | None = None) -> np.ndarray:
     bound = max(a_max, 1) * (abs(f) if isinstance(f, int) else max_abs(f.reshape(-1)))
     if bound < _INT64_SAFE:  # so f fits int64 too
         return _as_int64(a) * np.asarray(f, dtype=np.int64)
-    return _compacted(_as_object(a) * f, bound)
+    out = _as_object(a) * f
+    return compact(out, max_abs(out))
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray, a_max: int | None = None,
@@ -398,14 +394,16 @@ def _certified_rref(rows: np.ndarray, ambient: int, every_row: bool) -> "ScaledR
     Otherwise a base prime gives, in at most two eliminations
     (_echelon_mod), their rank r mod p and r base rows carrying it:
     input rows and exact integer combinations of them, independent over
-    Q too.  The next primes reduce only those.  A candidate, r rows in
-    reduced echelon form, is adopted only if every input row (every_row)
-    or every base row (not every_row) has zero residual against it.
-    With every_row, as r <= rank over Q, the spans agree.  Otherwise it
-    is the exact span of the base rows, short of the row span only for
-    an unlucky base prime or sketch; a candidate that holds the base
-    rows but not every input row shows this, and the next prime starts
-    again with its own sketch.  r = ambient proves the whole space."""
+    Q too.  Later primes reduce only those, joined by CRT.  A candidate
+    of r rows (Wang), tried at 1, 2, 4, ... primes and at the last, is
+    adopted if every input row (every_row) or base row has zero
+    residual against it: the canonical form of the row span (as r <=
+    rank over Q) or of the base rows'.  A new attempt, from the next
+    prime, starts when a later prime moves the base rows' pivots, or
+    when, with every_row, a candidate holds the base rows but not every
+    input row (an unlucky base prime or sketch).  Any other failure
+    waits for more primes: a small modulus still gives most residues a
+    fraction.  r = ambient proves the whole space."""
     support = _monomial_support(rows)
     if support is not None:  # the span of the unit vectors at the rows' columns
         hit = np.zeros(ambient, dtype=bool)
@@ -418,20 +416,19 @@ def _certified_rref(rows: np.ndarray, ambient: int, every_row: bool) -> "ScaledR
             piv, acc, sel, mix = _echelon_mod(_residues(rows, p), p)
             if len(piv) == ambient:
                 return ScaledRref.full(ambient)
-            base, m = rows[sel], p
+            base, m, k = rows[sel], p, 1
             if mix is not None:  # sketch entries are at most 16 in absolute value
                 base = np.vstack([base, exact_matmul(mix, rows[ambient:], 16)])
         else:
             x = _residues(base, p)
-            ppiv, _ = _eliminate(x, p)
-            if ppiv == piv:
-                t = (x[:len(piv)] - _residues(acc, p)) * pow(m, -1, p) % p  # CRT
-                wide = m * p >= _INT64_SAFE
-                acc, m = (_as_object(acc) + t.astype(object) * m if wide else acc + t * m), m * p
-            elif len(ppiv) == len(piv) and ppiv < piv:
-                piv, acc, m = ppiv, x[:len(piv)], p  # earlier pivots: the old primes were unlucky
-            else:
+            if _eliminate(x, p)[0] != piv:
+                base = None  # p or the base prime divides a minor of the base rows
                 continue
+            t = (x[:len(piv)] - _residues(acc, p)) * pow(m, -1, p) % p  # CRT
+            wide = m * p >= _INT64_SAFE
+            acc, m, k = (_as_object(acc) + t.astype(object) * m if wide else acc + t * m), m * p, k + 1
+        if k & (k - 1) and p != PRIMES[-1]:
+            continue  # reconstruct at 1, 2, 4, 8, ... primes and at the last one
         cand = _reconstruct(acc, m, piv, ambient)
         if cand is not None:
             if cand.holds(rows if every_row else base):
@@ -649,7 +646,8 @@ def scaled_inverse(mi: np.ndarray, s: int) -> tuple[np.ndarray, int]:
     red = rref_from_rows(np.hstack([mi, s * np.eye(n, dtype=object)]), 2 * n)
     if red.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return _compacted(red.nums[:, n:], red.nmax), red.den
+    v = red.nums[:, n:]
+    return compact(v, max_abs(v)), red.den
 
 
 def _checked_inverse(mi: np.ndarray) -> np.ndarray | None:

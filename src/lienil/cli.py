@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from itertools import groupby
 
 from ._intkernel import PrimesExhausted
@@ -381,6 +382,7 @@ def cmd_verify_claims(args) -> int:
 # --------------------------------------------------------------- entrypoint
 
 
+@cache  # built on the first main() call, never at import
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lienil",

@@ -741,26 +741,48 @@ def test_exit_2_constants_too_large_to_check(tmp_path, capsys):
     assert code == 2 and "too large" in err
 
 
-@pytest.mark.parametrize("argv", [["identify"], ["obfuscate", "--seed", "1", "-o", "out.json"]])
-def test_exit_2_row_reduction_out_of_primes(tmp_path, capsys, monkeypatch, argv):
-    # [e0, e1] and [e0, e2] into e3..e5 with 200-bit constants.  Jacobi
-    # holds and needs 20 residue primes; the reduced rows hold ratios of
-    # 2 x 2 minors, about 800 bits, which 25 primes cannot reconstruct.
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(ik, "PRIMES", ik.PRIMES[:25])
+def write_huge_constants(path, bits: int):
+    """[e0, e1] and [e0, e2] into e3..e5 with random constants of the
+    given bit length (seed 5): Jacobi holds, and the reduced rows hold
+    ratios of 2 x 2 minors, about 4 * bits bits."""
     rng = random.Random(5)
-    path = tmp_path / "huge.json"
     path.write_text(json.dumps({
         "format_version": 1, "dim": 6,
         "brackets": [
-            {"i": 0, "j": j, "terms": [{"k": k, "num": rng.getrandbits(200), "den": 1}
+            {"i": 0, "j": j, "terms": [{"k": k, "num": rng.getrandbits(bits), "den": 1}
                                        for k in (3, 4, 5)]}
             for j in (1, 2)
         ],
     }))
+
+
+@pytest.mark.parametrize("argv", [["identify"], ["obfuscate", "--seed", "1", "-o", "out.json"]])
+def test_exit_2_row_reduction_out_of_primes(tmp_path, capsys, monkeypatch, argv):
+    # 200-bit constants: Jacobi needs 20 residue primes, and the reduced
+    # rows, about 800 bits, need more than 25 to reconstruct.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ik, "PRIMES", ik.PRIMES[:25])
+    path = tmp_path / "huge.json"
+    write_huge_constants(path, 200)
     code, _, err = run([argv[0], str(path), *argv[1:]], capsys)
     assert code == 2 and "row reduction needs more than the 25 residue primes" in err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_running_out_of_primes_reconstructs_at_doublings_only(tmp_path, capsys, monkeypatch):
+    # 1,200-bit constants: Jacobi needs about 115 of the 200 primes, and
+    # the reduced rows, about 4,800 bits, need more than 200.  The
+    # reduction reconstructs at 1, 2, 4, ..., 128 primes and at the
+    # last one, not after every prime.
+    monkeypatch.setattr(ik, "PRIMES", ik.PRIMES[:200])
+    calls = []
+    reconstruct = ik._reconstruct
+    monkeypatch.setattr(ik, "_reconstruct", lambda *a: calls.append(a) or reconstruct(*a))
+    path = tmp_path / "huge.json"
+    write_huge_constants(path, 1200)
+    code, _, err = run(["identify", str(path)], capsys)
+    assert code == 2 and "row reduction needs more than the 200 residue primes" in err
+    assert len(calls) <= 9
 
 
 @pytest.mark.parametrize("argv", [["emit", "A", "3"], ["obfuscate", "SRC", "--seed", "1"]])
@@ -905,12 +927,21 @@ def test_the_cli_leaves_numpy_random_and_ma_unloaded():
     # about 2 MiB; nothing on lienil's paths needs either.  The import
     # alone, then a C4 identification with its graded pairings, in a
     # fresh interpreter.
-    code = ("import contextlib, io, sys\n"
+    # The argument parser is built on the first main() call and kept:
+    # none at import, one for two calls (counted by its prog).
+    code = ("import argparse, contextlib, io, sys\n"
+            "built, init = [], argparse.ArgumentParser.__init__\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
             "import lienil.cli\n"
-            "print('numpy.random' in sys.modules)\n"
+            "print('numpy.random' in sys.modules, built)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    lienil.cli.main(['invariants', 'C', '4'])\n"
-            "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))\n")
+            "    lienil.cli.main(['roots', 'A', '1'])\n"
+            "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules),\n"
+            "      built.count('lienil'))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["False", "[]"]
+    assert proc.stdout.split("\n")[:2] == ["False []", "[] 1"]

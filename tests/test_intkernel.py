@@ -275,6 +275,46 @@ def test_unlucky_first_prime_is_rejected_and_the_next_recovers(monkeypatch):
     assert primes == [P0, P1]
 
 
+def test_a_later_unlucky_prime_restarts_from_the_next_prime(monkeypatch):
+    # Modulo PRIMES[0] the rows have pivots [0, 1]; modulo PRIMES[1] the
+    # second row reads (1, 1, 1), which moves the second pivot to column
+    # 2.  That prime starts a new attempt, with PRIMES[2] as base prime.
+    primes = []
+    echelon = ik._echelon_mod
+    monkeypatch.setattr(ik, "_echelon_mod", lambda a, p: primes.append(p) or echelon(a, p))
+    rows = [[1, 1, 0], [1, 1 + P1, 1]]
+    got = ik.rref_from_rows(as_array(rows, 3), 3)
+    assert primes == [P0, ik.PRIMES[2]]
+    want = fraction_linalg.rref(fraction_linalg.from_rows(rows))
+    assert got.to_subspace().basis.entries == want.entries
+
+
+@st.composite
+def wide_entry_rows(draw):
+    """Up to 4 x 4 rows of rank at most k with entries up to about
+    2^300: their reduced rows need from a few to a few dozen primes, so
+    reconstruction passes the checkpoints at 4, 8, 16 and 32 primes."""
+    cols = draw(st.integers(1, 4))
+    r = draw(st.integers(1, 4))
+    k = draw(st.integers(1, min(r, cols)))
+    big = st.one_of(st.integers(-6, 6), st.integers(-(2**300), 2**300))
+    a = [[draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(r)]
+    b = [[draw(big) for _ in range(cols)] for _ in range(k)]
+    return cols, [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)] for i in range(r)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_entry_rows())
+@example((2, [[2**300 + 1, 3**180]]))
+@example((3, [[2**299, 1, 3**150], [5**120, 7**100, 1]]))
+def test_wide_entry_reductions_match_fraction_rref(case):
+    cols, rows = case
+    want = fraction_linalg.rref(fraction_linalg.from_rows(rows, cols)).entries
+    got = ik.rref_from_rows(as_array(rows, cols), cols)
+    assert got.to_subspace().basis.entries == want
+    assert ik.rref_of_base_rows(as_array(rows, cols), cols) == got
+
+
 def test_unlucky_sketch_is_caught_by_the_certificate(monkeypatch):
     # Under PRIMES[0] every sketch row is the first one, so the base rows
     # span one dimension less than the rows after a rank-deficient first
