@@ -309,16 +309,17 @@ _SKETCH_EXTRA = 4
 _SPREAD = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xBF58476D1CE4E5B9)
 
 
-def _sketch(k: int, m: int, p: int) -> np.ndarray:
-    """A fixed k x m int64 matrix with entries in [-16, 15]: the top five
-    bits of a 64-bit hash (one xorshift-multiply round) of row, column
-    and the prime p, so each prime has its own, with no state."""
+def _sketch(k: int, m: int, p: int, bits: int = 5) -> np.ndarray:
+    """A fixed k x m int64 matrix with entries in [-2^(bits-1), 2^(bits-1)),
+    [-16, 15] by default: the top `bits` bits of a 64-bit hash (one
+    xorshift-multiply round) of row, column and p, so each prime has its
+    own, with no state.  nilalg's chain element is one row of it."""
     u64 = np.uint64
     h = (np.arange(k, dtype=u64)[:, None] * u64(_SPREAD[0]) ^ np.arange(m, dtype=u64) * u64(_SPREAD[1])
          ^ u64(p * _SPREAD[2] % 2**64))
     h ^= h >> u64(32)
     h *= u64(_SPREAD[3])
-    return (h >> u64(59)).astype(np.int64) - 16
+    return (h >> u64(64 - bits)).astype(np.int64) - 2 ** (bits - 1)
 
 
 def _echelon_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray | None]:

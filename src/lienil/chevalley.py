@@ -165,7 +165,8 @@ def verify_jacobi(a: NilpotentAlgebra) -> JacobiReport:
     cannot carry a quotient that is not an integer onto one.
 
     P over every pair is one product when it has at most _ENTRIES
-    entries.  Otherwise each x makes P[xb,c], b, c > x, in one product,
+    entries, its triples' index arrays built once for every prime
+    (_all_triples).  Otherwise each x makes P[xb,c], b, c > x, in one product,
     freed before the next x's, and P[yz,x], y > x, batch by batch.
 
     triples_checked counts the sorted triples containing a pair with a
@@ -178,10 +179,12 @@ def verify_jacobi(a: NilpotentAlgebra) -> JacobiReport:
     pa, pb = np.triu_indices(n, 1)  # the pairs a < b, lexicographic
     flagged = np.zeros((n, pa.size), dtype=bool)  # J[x, pa[k], pb[k]] != 0
     r = np.empty(t.shape)
+    whole = pa.size * n * n <= _ENTRIES
+    triples = _all_triples(n, pa, pb) if whole else None
     for p in jacobi_primes(a):
         np.remainder(t, p, out=r, casting="unsafe")
-        if pa.size * n * n <= _ENTRIES:
-            _flag_all(r, p, pa, pb, flagged)
+        if whole:
+            _flag_all(r, p, pa, pb, triples, flagged)
         else:
             for x in range(n - 2):
                 _flag_one_x(r, p, pa, pb, x, flagged)
@@ -196,15 +199,24 @@ def verify_jacobi(a: NilpotentAlgebra) -> JacobiReport:
     return JacobiReport(not violations, violations, math.comb(n, 3) - untouched)
 
 
-def _flag_all(r: np.ndarray, p: int, pa: np.ndarray, pb: np.ndarray, flagged: np.ndarray) -> None:
-    """Flag every sorted triple whose Jacobiator p does not divide; r is T mod p."""
-    n = len(r)
+def _all_triples(n: int, pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(x, k, first, second), the same for every prime: the sorted triples
+    (x, pa[k], pb[k]) and the rows of P[x pa[k], pb[k]] and
+    P[x pb[k], pa[k]] in _flag_all's product."""
     pair = np.zeros((n, n), dtype=np.int64)
     pair[pa, pb] = np.arange(pa.size)
-    x, k = np.nonzero(np.arange(n)[:, None] < pa)  # the triples (x, pa[k], pb[k])
+    x, k = np.nonzero(np.arange(n)[:, None] < pa)
+    return x, k, pair[x, pa[k]] * n + pb[k], pair[x, pb[k]] * n + pa[k]
+
+
+def _flag_all(r: np.ndarray, p: int, pa: np.ndarray, pb: np.ndarray,
+              triples: tuple[np.ndarray, ...], flagged: np.ndarray) -> None:
+    """Flag every sorted triple whose Jacobiator p does not divide; r is
+    T mod p and triples is _all_triples(n, pa, pb)."""
+    n = len(r)
+    x, k, first, second = triples
     prod = (r[pa, pb] @ r.reshape(n, -1)).reshape(-1, n)  # row k * n + c: P[k, c]
-    flagged[x, k] |= _fails(p, prod, pair[x, pa[k]] * n + pb[k], pair[x, pb[k]] * n + pa[k],
-                            lambda s: prod[k[s] * n + x[s]])
+    flagged[x, k] |= _fails(p, prod, first, second, lambda s: prod[k[s] * n + x[s]])
 
 
 def _flag_one_x(r: np.ndarray, p: int, pa: np.ndarray, pb: np.ndarray, x: int,

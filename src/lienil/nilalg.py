@@ -14,23 +14,41 @@ table run no modular elimination.
 
 * F_1 = N.  Each later term is the exact span of the rows that are
   independent modulo the base prime, checked against those rows only
-  (_intkernel.rref_of_base_rows): F_2 of the constant table's rows,
-  F_{l+1} of the rows of [F_l, G], G the standard basis vectors at F_2's
-  non-pivot coordinates, at F_l's pivots P only, lifted by one product
-  with F_l's rows (ScaledRref.lift), so F_{l+1} <= F_l.  In a nilpotent
-  Lie algebra F_l = N^l unless the base prime is unlucky (de Graaf, Lie
-  Algebras: Theory and Algorithms, 2000).
-* Assuming no Jacobi identity, it checks for every l >= 1 that
-  [P_l, e_j] in F_{l+1} for every j, P_l the rows of F_l's canonical
-  basis at pivots F_{l+1} lacks (P_1: the generators).  As F_l =
-  span P_l + F_{l+1}, induction from the zero term gives [F_l, N] <=
-  F_{l+1}: the rows of [F_l, G] lie in F_l, whose vectors are fixed by
-  their entries at P, so N^l <= F_l <= N^l.  An unlucky base prime only
-  fails a check; a failed check falls back to the definition.
-* A stall, F_2 = N or rows of [F_l, G] of coordinate rank dim F_l that
-  lie in F_l, gives F_l <= [F_l, N], so F_l <= N^k for every k, and
-  raises NotNilpotentError.  Rows that leave F_l prove nothing, and the
-  definition decides.  Otherwise every term is smaller than the last.
+  (_intkernel.rref_of_base_rows): F_{l+1} of the rows of [F_l, G], for
+  a set G of elements, at F_l's pivots P only, lifted by one product
+  with F_l's rows (ScaledRref.lift), so F_{l+1} <= F_l.  Two sets G
+  serve (lower_central_series picks):
+  - The chain: G = {x}, one fixed integer vector (_chain_element).
+    F_2 is reduced from the n rows [x, e_j] and F_{l+1} from the dim F_l
+    rows [F_l, x], so every reduction is square: one elimination, no
+    sketch.  If x's image in N / [N, N] has every simple-root
+    coordinate nonzero, x is principal nilpotent in N = n+ and ad x maps
+    N^l onto N^{l+1} (Kostant, "The principal three-dimensional
+    subgroup and the Betti numbers of a complex simple Lie group",
+    Amer. J. Math. 81, 1959), so the chain gives the series.  It runs
+    first on a table with more than n^2 nonzero constants, so that some
+    pair row has two nonzero entries; a chain that reaches N at F_2,
+    stalls or fails the checks below gives way to the generator series.
+  - The generator series: F_2 from the constant table's rows, G the
+    standard basis vectors at F_2's non-pivot coordinates.  In a
+    nilpotent Lie algebra F_l = N^l unless the base prime is unlucky
+    (de Graaf, Lie Algebras: Theory and Algorithms, 2000).  A Chevalley
+    table takes it alone, as it reduces by inspection.
+* Assuming no Jacobi identity, it checks for every l >= 1, as F_{l+1}
+  lands, that [P_l, e_j] in F_{l+1} for every j, P_l the rows of F_l's
+  canonical basis at pivots F_{l+1} lacks.  As F_l = span P_l + F_{l+1},
+  induction from the zero term gives [F_l, N] <= F_{l+1}, so the rows
+  of [F_l, G] lie in F_l, whose vectors are fixed by their entries at
+  P: F_{l+1} is spanned by brackets in [F_l, G] <= [F_l, N], and F_l
+  <= N^l by induction.  Then N^{l+1} = [N^l, N] <= [F_l, N] <= F_{l+1}
+  gives N^l <= F_l <= N^l.  An unlucky base prime, or an x that is not
+  principal, only fails a check; a failed check falls back at once (an
+  x that is not principal leaves F_2 short of N^2: the check at l = 1).
+* A stall of the generator series, F_2 = N or rows of [F_l, G] of
+  coordinate rank dim F_l that lie in F_l, gives F_l <= [F_l, N], so
+  F_l <= N^k for every k, and raises NotNilpotentError.  Rows that
+  leave F_l prove nothing, and the definition decides.  Otherwise every
+  term is smaller than the last.
 
 Terms and graded pieces stay integer rows; their Subspace and Matrix
 forms are views built on first read.
@@ -233,47 +251,83 @@ def lower_central_series(a: NilpotentAlgebra) -> Filtration:
     """Canonical subspaces N = N^1 >= N^2 = [N, N] >= N^3 = [N^2, N] ...
 
     terms[i] is N^{i+1}; the last term is zero.  Raises
-    NotNilpotentError when the series does not reach zero.  The
-    certified direct series runs first (see the module docstring); the
-    definitional iteration decides when its certificate fails.
+    NotNilpotentError when the series does not reach zero.  A table with
+    more than n^2 nonzero constants, so that some pair row has two
+    nonzero entries, first tries the chain along one fixed element x
+    (_chain_element): F_{l+1} from the brackets [F_l, x] alone, which
+    for a principal nilpotent x of n+ span N^{l+1} (Kostant, Amer. J.
+    Math. 81, 1959).  Its exactness needs no new check and no Jacobi
+    identity: each chain term is spanned by brackets [F_l, x] <=
+    [F_l, N], so F_l <= N^l by induction, and the series' certificate
+    [F_l, N] <= F_{l+1} gives N^l <= F_l (see the module docstring).  A
+    chain that reaches N at F_2, stalls or fails the certificate gives
+    way to the generator series, which canonical tables take at once,
+    and that to the definitional iteration.
     """
-    return _direct_series(a) or _definitional_series(a)
+    n = a.dim
+    chain = np.count_nonzero(a.int_tensor()[0]) > n * n and _direct_series(a, _chain_element(n))
+    return chain or _direct_series(a) or _definitional_series(a)
 
 
-def _direct_series(a: NilpotentAlgebra) -> Filtration | None:
-    """Certified fast path; None means fall back to the definition."""
+def _chain_element(n: int) -> np.ndarray:
+    """The chain's x: n fixed coefficients in [-2^10, 2^10), row 0 of
+    _intkernel._sketch's hash with seed 1, with no state.  On 120
+    scrambled tables (all_types(8) and E6 to E8, a few seeds each), an
+    x of 5-bit coefficients was not principal on 1 to 8 of them (hash
+    seeds 0 to 2); with 11 bits seed 0 missed one and seed 1 none."""
+    return ik._sketch(1, n, 1, 11)[0]
+
+
+def _direct_series(a: NilpotentAlgebra, x: np.ndarray | None = None) -> Filtration | None:
+    """Certified fast path; None means fall back.  With x, the chain:
+    F_2 = [x, N] and each later term from [F_l, x] (a square reduction),
+    None also when F_2 = N or it stalls; without, the generator series,
+    which proves either of those non-nilpotent."""
     n = a.dim
     t, _, tmax = a.int_tensor()
 
-    i, j = a.bracket_pairs()
-    f2 = ik.rref_of_base_rows(t[i, j], n)
+    # tg[b, g, c] = [e_b, g]_c for the generators g (up to sign), so u @ tg
+    # reshaped to (rows * gens, n) lists the brackets [row, g] batchwise,
+    # tg[:, :, P] at P only.
+    if x is None:
+        i, j = a.bracket_pairs()
+        f2 = ik.rref_of_base_rows(t[i, j], n)
+        is_gen = np.ones(n, dtype=bool)
+        is_gen[f2.pivots] = False
+        tg, tg_max = t[:, is_gen, :], tmax
+    else:
+        ad = ik.exact_matmul(x[None, :], t.reshape(n, n * n), ik.max_abs(x), tmax).reshape(n, n)
+        f2 = ik.rref_of_base_rows(ad, n)
+        tg, tg_max = ad[:, None, :], ik.max_abs(ad)
     if f2.dim == n:
+        if x is not None:
+            return None
         raise NotNilpotentError("derived subalgebra is the whole algebra")
 
-    # tg[b, g, c] = t[b, gen[g], c], so u @ tg reshaped to (rows * gens, n)
-    # lists the brackets [row, generator] batchwise, tg[:, :, P] at P only.
-    is_gen = np.ones(n, dtype=bool)
-    is_gen[f2.pivots] = False
-    tg = t[:, is_gen, :]
+    # The certificate's int64 products read t in float64, converted once
+    # here; in a Chevalley table, where F_2 and every later term are
+    # coordinate subspaces, the checks are gathers and need no copy.  Each
+    # term is checked as it lands, so a chain along an x that is not
+    # principal stops at F_2, before its terms grow large.
+    flat = t.reshape(n, n * n)
+    dense = flat.dtype == np.int64 and not f2.is_coordinate
+    flat_f = flat.astype(np.float64) if dense else None
     terms = [ik.ScaledRref.full(n), f2]
-    while terms[-1].dim:
-        cur, d = terms[-1], terms[-1].dim
-        rows = ik.exact_matmul(cur.nums, tg[:, :, cur.pivots].reshape(n, -1), cur.nmax, tmax)
+    while True:
+        prev, cur = terms[-2:]
+        p, _ = _complement(prev, cur)
+        if not cur.holds(p, flat, ik.max_abs(p), tmax, flat_f):
+            return None
+        if not cur.dim:
+            return Filtration(tuple(terms))
+        d = cur.dim
+        rows = ik.exact_matmul(cur.nums, tg[:, :, cur.pivots].reshape(n, -1), cur.nmax, tg_max)
         coords = ik.rref_of_base_rows(rows.reshape(-1, d), d)
         if coords.dim == d:
-            if not cur.holds(cur.nums, tg.reshape(n, -1), cur.nmax, tmax):
+            if x is not None or not cur.holds(cur.nums, tg.reshape(n, -1), cur.nmax, tmax):
                 return None
             raise NotNilpotentError("lower central series stalls before zero")
         terms.append(cur.lift(coords))
-
-    # The certificate's int64 products read t in float64, converted once here.
-    flat = t.reshape(n, n * n)
-    flat_f = flat.astype(np.float64) if flat.dtype == np.int64 else None
-    for cur, nxt in zip(terms, terms[1:]):
-        p, _ = _complement(cur, nxt)
-        if not nxt.holds(p, flat, ik.max_abs(p), tmax, flat_f):
-            return None
-    return Filtration(tuple(terms))
 
 
 def _definitional_series(a: NilpotentAlgebra) -> Filtration:

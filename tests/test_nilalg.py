@@ -382,6 +382,80 @@ def _no_fallback(b):
     raise AssertionError("the definitional series ran")
 
 
+def _routes(monkeypatch) -> list[tuple[str, bool]]:
+    """Spy on _direct_series: each call appends (route, certified), the
+    route "chain" when an element x is given and "generators" otherwise."""
+    direct, routes = nilalg._direct_series, []
+
+    def spy(a, x=None):
+        out = direct(a, x)
+        routes.append(("generators" if x is None else "chain", out is not None))
+        return out
+
+    monkeypatch.setattr(nilalg, "_direct_series", spy)
+    return routes
+
+
+def _many_constants(a) -> bool:
+    return np.count_nonzero(a.int_tensor()[0]) > a.dim ** 2
+
+
+# Item 1's counterexample in ROADMAP: graded like n+(A3), but its centre
+# has dimension 2.
+CENTRE_2 = NilpotentAlgebra(6, {(0, 1): ((3, 1),), (0, 2): ((4, 1),), (0, 3): ((5, 1),)})
+
+
+@pytest.mark.parametrize("t", all_types(8), ids=str)
+def test_chain_matches_the_generator_series(t, monkeypatch):
+    # On every scrambled table with more than n^2 nonzero constants the
+    # chain along _chain_element gives the series, with no fallback, and
+    # its terms equal the generator series' to the byte.
+    a = nilradical(build_root_system(t))
+    cases = [change_basis(a, random_unimodular(a.dim, seed)) for seed in (1, 2, 3)]
+    want = [nilalg._direct_series(b) for b in cases]
+    routes = _routes(monkeypatch)
+    for b, w in zip(cases, want):
+        routes.clear()
+        f = lower_central_series(b)
+        assert f == w
+        assert [r.nums.dtype for r in f.rrefs] == [r.nums.dtype for r in w.rrefs]
+        assert routes == ([("chain", True)] if _many_constants(b) else [("generators", True)])
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_chain_matches_the_generator_series_on_a_non_nilradical(seed, monkeypatch):
+    a = CENTRE_2 if seed is None else change_basis(CENTRE_2, random_unimodular(6, seed))
+    x = nilalg._chain_element(a.dim)
+    assert nilalg._direct_series(a, x) == nilalg._direct_series(a)
+    routes = _routes(monkeypatch)
+    assert lower_central_series(a).dims == (6, 3, 1, 0)
+    assert routes == ([("chain", True)] if _many_constants(a) else [("generators", True)])
+    assert _many_constants(a) == (seed is not None)
+
+
+def test_chain_along_an_element_that_is_not_principal_gives_way(monkeypatch):
+    # No unit vector of scrambled B4 (seed 1) is principal: [e_0, N] is
+    # short of N^2, so the chain fails its first check right after F_2's
+    # one reduction, and the generator series gives the same terms with
+    # no definitional run.
+    a = nilradical(build_root_system(SimpleType.parse("B4")))
+    b = change_basis(a, random_unimodular(a.dim, 1))
+    want = lower_central_series(b)
+    unit = np.zeros(b.dim, dtype=np.int64)
+    unit[0] = 1
+    reduce, shapes = ik.rref_of_base_rows, []
+    monkeypatch.setattr(ik, "rref_of_base_rows",
+                        lambda rows, cols: shapes.append(rows.shape) or reduce(rows, cols))
+    assert nilalg._direct_series(b, unit) is None
+    assert shapes == [(b.dim, b.dim)]
+    monkeypatch.setattr(ik, "rref_of_base_rows", reduce)
+    monkeypatch.setattr(nilalg, "_chain_element", lambda n: unit)
+    monkeypatch.setattr(nilalg, "_definitional_series", _no_fallback)
+    routes = _routes(monkeypatch)
+    assert lower_central_series(b) == want
+    assert routes == [("chain", False), ("generators", True)]
+
+
 @pytest.mark.parametrize("t", all_types(6), ids=str)
 def test_fast_path_is_taken_on_every_type(t, monkeypatch):
     monkeypatch.setattr(nilalg, "_definitional_series", _no_fallback)
@@ -425,14 +499,17 @@ def test_canonical_tables_need_no_residue_prime(t, monkeypatch):
 @pytest.mark.parametrize("name", ["E7", "E8"])
 def test_fast_path_is_taken_on_scrambled_e7_and_e8(name, monkeypatch):
     monkeypatch.setattr(nilalg, "_definitional_series", _no_fallback)
+    routes = _routes(monkeypatch)
     rs = build_root_system(SimpleType.parse(name))
     a = nilradical(rs)
     assert graded(change_basis(a, random_unimodular(a.dim, 1))).dims == tuple(degree_histogram(rs))
+    assert routes == [("chain", True)]
 
 
 def test_scrambled_e7_series_makes_few_column_steps(monkeypatch):
-    # Each term is reduced in the previous term's pivot coordinates, so a
-    # reduction's blocks have dim F_l columns, not n.  A column step is one
+    # The chain reduces dim F_l rows [F_l, x] per term, each in the
+    # previous term's pivot coordinates, so a reduction is one square
+    # block of dim F_l columns, not n, with no sketch.  A column step is one
     # pass of _eliminate's loop: over the columns nonzero on entry, up to
     # the last pivot when the rows run out, all of them otherwise.
     a = nilradical(build_root_system(SimpleType.parse("E7")))
@@ -449,7 +526,7 @@ def test_scrambled_e7_series_makes_few_column_steps(monkeypatch):
     monkeypatch.setattr(ik, "_eliminate", spy)
     monkeypatch.setattr(nilalg, "_definitional_series", _no_fallback)
     lower_central_series(b)
-    assert sum(steps) <= 500
+    assert sum(steps) <= 450
 
 
 def test_rational_and_huge_tables_take_the_fast_path(monkeypatch):
